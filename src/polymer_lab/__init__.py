@@ -1,11 +1,17 @@
 """Exact and Monte Carlo tools for a directed polymer in a signed random
 environment on Z^1 and Z^2 under weak-disorder scaling."""
 
-from . import cli, engine, environment, fluctuation, harness, moments, stats, walk
-from .engine import PolymerObservables, brute_force_observables, evolve_density, observables
+from . import engine, environment, fluctuation, harness, moments, stats, walk
+from .engine import (
+    PolymerObservables,
+    brute_force_observables,
+    evolve_density,
+    evolve_replicas,
+    observables,
+)
 from .environment import EnvironmentField, EnvironmentTable, derive_replica_seed
-from .fluctuation import ScalingRule, decompose, limit_variance, scaling
-from .harness import ExperimentConfig, run_replicas, simulate_replica
+from .fluctuation import ScalingRule, limit_variance, scaling
+from .harness import ExperimentConfig, run_replicas
 from .moments import centered_moments, ez2_pairwalk, ek2_pairwalk, weighted_fourth_sum
 from .walk import TransitionKernel, build_kernel, return_probability
 
@@ -19,12 +25,11 @@ __all__ = [
     "brute_force_observables",
     "build_kernel",
     "centered_moments",
-    "cli",
-    "decompose",
     "derive_replica_seed",
     "engine",
     "environment",
     "evolve_density",
+    "evolve_replicas",
     "ez2_pairwalk",
     "ek2_pairwalk",
     "fluctuation",
@@ -35,7 +40,6 @@ __all__ = [
     "return_probability",
     "run_replicas",
     "scaling",
-    "simulate_replica",
     "stats",
     "walk",
 ]

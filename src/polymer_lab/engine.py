@@ -9,6 +9,15 @@ carried on the packed parity slices from the walk module with two rolling
 layers.  Everything is plain float64; with 0 <= c < 1 every weight factor is
 positive, so no log-domain bookkeeping is needed, only an overflow guard.
 
+evolve_replicas is the only implementation of the recursion.  It advances
+several environments in lockstep, one layer each, next to one shared rolling
+free-walk layer p0(n, .); every slice of signs is hashed once and used both
+for the weight multiply and for the order-one chaos term
+f_n = c sum_x h(n, x) p0(n, x) of Z - 1.  Each replica's sums and dot
+products are the same operations on the same arrays as a single-replica
+pass, so batching does not change a bit.  evolve_density is the pass over
+one environment.
+
 brute_force_observables enumerates all (2d)^N paths directly and is the
 independent check for the recursion on small N.
 """
@@ -30,11 +39,15 @@ _PATH_CHUNK = 1 << 16
 
 @dataclass(frozen=True)
 class DensityLayer:
-    """Packed polymer density p(n, .) at a single time."""
+    """Packed polymer density p(n, .) at a single time.
+
+    linear is the order-one chaos part sum_{k<=n} f_k of Z(n) - 1.
+    """
 
     d: int
     n: int
     values: np.ndarray
+    linear: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -55,19 +68,40 @@ def _check_run_args(env, c: float, N: int) -> None:
         raise ValueError(f"environment horizon {env.horizon} < N = {N}")
 
 
+def evolve_replicas(envs, c: float, N: int) -> list[DensityLayer]:
+    """Run the density recursion to time N under each environment, in lockstep."""
+    if not envs:
+        raise ValueError("need at least one environment")
+    d = envs[0].d
+    for env in envs:
+        if env.d != d:
+            raise ValueError("environments differ in dimension")
+        _check_run_args(env, c, N)
+    p0 = np.ones((1,) if d == 1 else (1, 1))
+    lays = [p0] * len(envs)
+    comps = [np.empty(N) for _ in envs]
+    for n in range(1, N + 1):
+        p0 = walk.step_layer(p0, d)
+        for i, env in enumerate(envs):
+            signs = env.slice_signs(n)
+            lay = walk.step_layer(lays[i], d)
+            lay *= 1.0 + c * signs
+            s = float(lay.sum())
+            if not np.isfinite(s) or s > DENSITY_SUM_LIMIT:
+                raise OverflowError(f"density sum {s} exceeded {DENSITY_SUM_LIMIT} at step {n}")
+            comps[i][n - 1] = c * float(np.dot(p0.ravel(), signs.ravel()))
+            lays[i] = lay
+    for lay in lays:
+        lay.flags.writeable = False
+    return [
+        DensityLayer(d=d, n=N, values=lay, linear=float(np.sum(comp)))
+        for lay, comp in zip(lays, comps)
+    ]
+
+
 def evolve_density(env, c: float, N: int) -> DensityLayer:
     """Run the density recursion to time N under the given environment."""
-    _check_run_args(env, c, N)
-    d = env.d
-    lay = np.ones((1,) if d == 1 else (1, 1))
-    for n in range(1, N + 1):
-        lay = walk.step_layer(lay, d)
-        lay *= 1.0 + c * env.slice_signs(n)
-        s = float(lay.sum())
-        if not np.isfinite(s) or s > DENSITY_SUM_LIMIT:
-            raise OverflowError(f"density sum {s} exceeded {DENSITY_SUM_LIMIT} at step {n}")
-    lay.flags.writeable = False
-    return DensityLayer(d=d, n=N, values=lay)
+    return evolve_replicas([env], c, N)[0]
 
 
 def observables(layer: DensityLayer) -> PolymerObservables:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .walk import slice_positions
+from .walk import as_point, slice_positions
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -109,7 +109,7 @@ class EnvironmentField:
 
     def value(self, n: int, x) -> int:
         """Sign at one site; scalar reference path for the vectorized slices."""
-        pt = _as_site(x, self.d)
+        pt = as_point(x, self.d)
         _check_site(self.d, self.horizon, n, pt)
         h = hash_words(self.seed, n, *pt)
         return 1 - 2 * (h >> 63)
@@ -150,16 +150,6 @@ class EnvironmentField:
         return np.concatenate(out)[:count]
 
 
-def _as_site(x, d: int) -> tuple[int, ...]:
-    if d == 1:
-        if isinstance(x, (int, np.integer)):
-            return (int(x),)
-        (x1,) = x
-        return (int(x1),)
-    x1, x2 = x
-    return (int(x1), int(x2))
-
-
 @dataclass(frozen=True)
 class EnvironmentTable:
     """Explicit sign assignment over a small cone; same interface as the field."""
@@ -169,7 +159,7 @@ class EnvironmentTable:
     slices: tuple = field(repr=False)
 
     def value(self, n: int, x) -> int:
-        pt = _as_site(x, self.d)
+        pt = as_point(x, self.d)
         _check_site(self.d, self.horizon, n, pt)
         lay = self.slices[n - 1]
         if self.d == 1:

@@ -15,6 +15,11 @@ exactly.  Under the scaling rules below the normalized linear part has
 variance a_N^2 c_N^2 sum_k p0(2k, 0), which is epsilon-free because
 a_N^2 c_N^2 = N^{-1/2} (d = 1) resp. 1/log N (d = 2), and converges to
 2/sqrt(pi) resp. 1/pi.
+
+The sampler takes sum_k f_k from the density recursion itself
+(engine.evolve_replicas rolls p0 next to the polymer layers).
+linear_components computes the same f_k from a dense TransitionKernel; it
+is the independent reference the tests compare the recursion against.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import engine, moments, walk
+from . import moments, walk
 
 # Large-N limits of the normalized linear-term variance.
 SIGMA2_LIMIT = {1: 2.0 / math.sqrt(math.pi), 2: 1.0 / math.pi}
@@ -77,17 +82,9 @@ def scaling(d: int, eps: float) -> ScalingRule:
     return ScalingRule(d=d, eps=eps)
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    """Z - 1 = linear + remainder for one simulated environment."""
-
-    Z: float
-    linear: float
-    remainder: float
-
-
 def linear_components(env, c: float, N: int, kernel: walk.TransitionKernel) -> np.ndarray:
-    """Per-layer linear terms f_k = c sum_x h(k, x) p0(k, x), k = 1..N."""
+    """Per-layer linear terms f_k = c sum_x h(k, x) p0(k, x), k = 1..N,
+    read from a dense kernel (reference route)."""
     if kernel.d != env.d:
         raise ValueError("kernel and environment dimensions differ")
     if kernel.n_max < N or env.horizon < N:
@@ -100,21 +97,6 @@ def linear_components(env, c: float, N: int, kernel: walk.TransitionKernel) -> n
             np.dot(kernel.layer(k).ravel(), env.slice_signs(k).ravel())
         )
     return out
-
-
-def linear_term(env, c: float, N: int, kernel: walk.TransitionKernel) -> float:
-    return float(np.sum(linear_components(env, c, N, kernel)))
-
-
-def decompose(env, c: float, N: int, kernel: walk.TransitionKernel) -> Decomposition:
-    """Run the engine and split Z - 1 into linear part and remainder."""
-    z = engine.observables(engine.evolve_density(env, c, N)).Z
-    lin = linear_term(env, c, N, kernel)
-    return Decomposition(Z=z, linear=lin, remainder=z - 1.0 - lin)
-
-
-def remainder(env, c: float, N: int, kernel: walk.TransitionKernel) -> float:
-    return decompose(env, c, N, kernel).remainder
 
 
 def linear_variance_exact(N: int, c: float, d: int) -> float:

@@ -1,12 +1,14 @@
 """Deterministic replica harness: parallel runs, concentration and normality reports.
 
 Replicas are embarrassingly parallel and completely determined by their
-derived seeds, so the harness maps replica indices over a process pool and
-reassembles results in replica order; output bytes are identical for any
-worker count.  Each replica fuses the density recursion with the linear-term
-accumulation so every environment slice is hashed exactly once; the fused
-loop applies the identical operations as engine.evolve_density plus
-fluctuation.linear_components and is pinned to them bit-for-bit in the tests.
+derived seeds.  run_replicas cuts each grid point's replicas into tasks of
+consecutive replicas, runs every task through one lockstep pass of
+engine.evolve_replicas (which yields Z, K and the linear term together), and
+reassembles the results in replica order; a task's size depends only on the
+worker count and on a fixed memory budget for its layers.  Every replica's
+numbers come from the same operations whatever task it lands in, so output
+bytes are identical for any worker count.  No transition kernel is built:
+the linear term reads the pass's rolling free-walk layer.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import engine, fluctuation, moments, stats, walk
+from . import engine, fluctuation, moments, stats
 from .environment import EnvironmentField, derive_replica_seed
 
 CSV_COLUMNS = (
@@ -32,6 +34,15 @@ CSV_COLUMNS = (
     "linear",
     "remainder",
 )
+
+# Memory for the density layers of one lockstep task; a grid point's replicas
+# are cut into tasks of at most TASK_LAYER_BUDGET // layer_bytes(d, N).
+TASK_LAYER_BUDGET = 32 * 2 ** 20
+
+
+def layer_bytes(d: int, N: int) -> int:
+    """Bytes of one packed float64 density layer at time N."""
+    return 8 * (N + 1) ** d
 
 
 @dataclass(frozen=True)
@@ -67,6 +78,14 @@ class ExperimentConfig:
         if self.c_override is None:
             for n in self.n_grid:
                 rule.c_of(n)
+        # The reports need exact moments up to the largest N; refuse here
+        # rather than after every replica has been sampled.
+        cap = moments.EXPANSION_MAX_N[self.d]
+        if self.n_grid[-1] > cap:
+            raise ValueError(
+                f"N = {self.n_grid[-1]} is above the exact-moment cap N <= {cap} "
+                f"for d = {self.d}; choose --N <= {cap}"
+            )
 
     def rule(self) -> fluctuation.ScalingRule:
         return fluctuation.scaling(self.d, self.eps)
@@ -115,44 +134,14 @@ class SummaryStats:
     metrics: dict = field(default_factory=dict)
 
 
-_KERNELS: dict[int, walk.TransitionKernel] = {}
-
-
-def _shared_kernel(d: int, n_max: int) -> walk.TransitionKernel:
-    have = _KERNELS.get(d)
-    if have is None or have.n_max < n_max:
-        have = walk.build_kernel(d, n_max)
-        _KERNELS[d] = have
-    return have
-
-
-def simulate_replica(
-    d: int, N: int, c: float, seed: int, kernel: walk.TransitionKernel
-) -> tuple[float, float, float, float]:
-    """One fused density + linear-term pass; returns (Z, K, msd, linear)."""
-    env = EnvironmentField(seed=seed, d=d, horizon=N)
-    lay = np.ones((1,) if d == 1 else (1, 1))
-    comps = np.empty(N)
-    for n in range(1, N + 1):
-        signs = env.slice_signs(n)
-        lay = walk.step_layer(lay, d)
-        lay *= 1.0 + c * signs
-        s = float(lay.sum())
-        if not np.isfinite(s) or s > engine.DENSITY_SUM_LIMIT:
-            raise OverflowError(f"density sum {s} exceeded limit at step {n}")
-        comps[n - 1] = c * float(np.dot(kernel.layer(n).ravel(), signs.ravel()))
-    z = s
-    k = float(np.dot(lay.ravel(), walk.slice_sqnorm(d, N).ravel()))
-    return z, k, k / z, float(np.sum(comps))
-
-
-def _replica_batch(args) -> list[tuple]:
-    d, N, c, jobs = args
-    kernel = _shared_kernel(d, N)
+def simulate_replica(d: int, N: int, c: float, jobs) -> list[tuple]:
+    """One lockstep task: jobs is a list of (replica_id, seed); returns
+    (replica_id, seed, Z, K, msd, linear) per job, in order."""
+    envs = [EnvironmentField(seed=seed, d=d, horizon=N) for _, seed in jobs]
     out = []
-    for replica_id, seed in jobs:
-        z, k, msd, lin = simulate_replica(d, N, c, seed, kernel)
-        out.append((replica_id, seed, z, k, msd, lin))
+    for (replica_id, seed), layer in zip(jobs, engine.evolve_replicas(envs, c, N)):
+        obs = engine.observables(layer)
+        out.append((replica_id, seed, obs.Z, obs.K, obs.msd, layer.linear))
     return out
 
 
@@ -162,39 +151,40 @@ def run_replicas(config: ExperimentConfig) -> list[ReplicaResult]:
     Results are bit-identical for any worker count: every replica depends
     only on its derived seed and results are reassembled in submission order.
     """
-    results: list[ReplicaResult] = []
+    tasks = []
     for grid_index, N in enumerate(config.n_grid):
         c = config.c_of(N)
         jobs = [
             (r, derive_replica_seed(config.master_seed, grid_index, r))
             for r in range(config.replicas)
         ]
-        if config.workers == 1:
-            batches = [_replica_batch((config.d, N, c, jobs))]
-        else:
-            chunk = max(1, math.ceil(len(jobs) / (config.workers * 4)))
-            tasks = [
-                (config.d, N, c, jobs[i : i + chunk]) for i in range(0, len(jobs), chunk)
-            ]
-            with ProcessPoolExecutor(max_workers=config.workers) as pool:
-                batches = list(pool.map(_replica_batch, tasks))
-        for batch in batches:
-            for replica_id, seed, z, k, msd, lin in batch:
-                results.append(
-                    ReplicaResult(
-                        replica_id=replica_id,
-                        seed=seed,
-                        d=config.d,
-                        N=N,
-                        c=c,
-                        Z=z,
-                        K=k,
-                        msd=msd,
-                        linear=lin,
-                        remainder=z - 1.0 - lin,
-                    )
-                )
-    return results
+        size = min(
+            math.ceil(len(jobs) / config.workers),
+            max(1, TASK_LAYER_BUDGET // layer_bytes(config.d, N)),
+        )
+        tasks += [(config.d, N, c, jobs[i : i + size]) for i in range(0, len(jobs), size)]
+    columns = list(zip(*tasks))
+    if config.workers == 1:
+        batches = list(map(simulate_replica, *columns))
+    else:
+        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+            batches = list(pool.map(simulate_replica, *columns))
+    return [
+        ReplicaResult(
+            replica_id=replica_id,
+            seed=seed,
+            d=d,
+            N=N,
+            c=c,
+            Z=z,
+            K=k,
+            msd=msd,
+            linear=lin,
+            remainder=z - 1.0 - lin,
+        )
+        for (d, N, c, _), batch in zip(tasks, batches)
+        for replica_id, seed, z, k, msd, lin in batch
+    ]
 
 
 def _group(results) -> dict[tuple[int, int, float], list[ReplicaResult]]:

@@ -200,8 +200,8 @@ def build_kernel(d: int, n_max: int) -> TransitionKernel:
     entries = count * (count + 1) // 2 if d == 1 else count * (count + 1) * (2 * count + 1) // 6
     if entries * 8 > MAX_KERNEL_BYTES:
         raise ValueError(
-            f"dense kernel (d={d}, n_max={n_max}) would need {entries * 8} bytes; "
-            "use return_probability/collision_layer_moments for deep sweeps"
+            f"dense kernel (d={d}, n_max={n_max}) would need {entries * 8} bytes, "
+            f"more than the {MAX_KERNEL_BYTES}-byte limit; lower --nmax"
         )
     layers = [np.ones((1,) if d == 1 else (1, 1))]
     for _ in range(n_max):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from polymer_lab import cli
+from polymer_lab import cli, harness
 
 
 def run_cli(argv, capsys):
@@ -110,6 +110,21 @@ def test_concentration_subcommand(capsys):
     assert row["eps_prob"] == 0.2
     assert 0.0 <= row["exceedance"] <= 1.0
     assert row["chebyshev_bound"] <= 1.0
+
+
+@pytest.mark.parametrize("dim,n,cap", [("1", "5000", 4096), ("2", "1024", 512)])
+def test_simulate_refuses_n_above_moment_cap(dim, n, cap, capsys, monkeypatch):
+    def no_sampling(*args):
+        raise AssertionError("a replica ran before the N cap was checked")
+
+    monkeypatch.setattr(harness, "simulate_replica", no_sampling)
+    code, out, err = run_cli(
+        ["simulate", "--dim", dim, "--N", "64", "--N", n, "--eps", "0.25", "--replicas", "2"],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert f"N <= {cap}" in err and "--N" in err
 
 
 def test_config_file_defaults_and_flag_override(tmp_path, capsys):

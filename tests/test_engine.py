@@ -95,6 +95,20 @@ def test_run_arg_validation():
         engine.evolve_density(env, 0.3, 5)  # horizon too small
 
 
+def test_lockstep_matches_single_passes():
+    for d, N in ((1, 17), (2, 9)):
+        envs = [_random_field(seed, d, N) for seed in range(4)]
+        envs.append(environment.EnvironmentTable.from_field(_random_field(9, d, N), N))
+        for env, got in zip(envs, engine.evolve_replicas(envs, 0.3, N)):
+            want = engine.evolve_density(env, 0.3, N)
+            assert np.array_equal(got.values, want.values)
+            assert got.linear == want.linear
+    with pytest.raises(ValueError):
+        engine.evolve_replicas([], 0.3, 4)
+    with pytest.raises(ValueError):
+        engine.evolve_replicas([_random_field(1, 1, 4), _random_field(1, 2, 4)], 0.3, 4)
+
+
 def test_determinism():
     env = _random_field(99, 2, 9)
     a = engine.evolve_density(env, 0.3, 9)

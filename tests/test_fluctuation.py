@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polymer_lab import environment, fluctuation, moments, walk
+from polymer_lab import engine, environment, fluctuation, moments, walk
 
 
 def test_scaling_rule_d1():
@@ -61,13 +61,15 @@ def test_limit_variance_limits():
 
 
 def test_decomposition_identity_random_envs():
+    # The linear term of the engine pass is the kernel reference's sum, bit
+    # for bit.
     kern1 = walk.build_kernel(1, 24)
     kern2 = walk.build_kernel(2, 12)
     for seed in range(10):
         for d, n, kern in ((1, 24, kern1), (2, 12, kern2)):
             env = environment.EnvironmentField(seed=seed, d=d, horizon=n)
-            dec = fluctuation.decompose(env, 0.34, n, kern)
-            assert dec.Z - 1.0 == pytest.approx(dec.linear + dec.remainder, abs=1e-14)
+            layer = engine.evolve_density(env, 0.34, n)
+            assert layer.linear == float(np.sum(fluctuation.linear_components(env, 0.34, n, kern)))
 
 
 def test_linear_components_exact_values():
@@ -92,12 +94,14 @@ def test_orthogonality_exhaustive(d, horizon):
     rem_sq = 0.0
     for tab in environment.enumerate_environments(d, horizon):
         comps = fluctuation.linear_components(tab, c, horizon, kern)
-        dec = fluctuation.decompose(tab, c, horizon, kern)
+        layer = engine.evolve_density(tab, c, horizon)
+        linear = layer.linear
+        remainder = engine.observables(layer).Z - 1.0 - linear
         outer = np.outer(comps, comps)
         comp_sum = outer if comp_sum is None else comp_sum + outer
-        lin_rem += dec.linear * dec.remainder
-        lin_sq += dec.linear ** 2
-        rem_sq += dec.remainder ** 2
+        lin_rem += linear * remainder
+        lin_sq += linear ** 2
+        rem_sq += remainder ** 2
         count += 1
     mean_outer = comp_sum / count
     # E f_j f_k = 0 off diagonal; E f_k^2 = c^2 p0(2k, 0)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from polymer_lab import engine, environment, fluctuation, harness, walk
+from polymer_lab import engine, environment, fluctuation, harness, moments, walk
 
 
 def test_config_validation():
@@ -28,19 +28,26 @@ def test_config_validation():
         harness.ExperimentConfig(**{**good, "eps": 0.0})
     with pytest.raises(ValueError):  # d=2 scaling needs N >= 2
         harness.ExperimentConfig(d=2, eps=0.25, n_grid=(1, 4), replicas=2, master_seed=0)
+    for d, cap in moments.EXPANSION_MAX_N.items():
+        harness.ExperimentConfig(d=d, eps=0.25, n_grid=(cap,), replicas=1, master_seed=0)
+        with pytest.raises(ValueError, match=f"N <= {cap}"):
+            harness.ExperimentConfig(d=d, eps=0.25, n_grid=(8, cap + 1), replicas=1, master_seed=0)
 
 
 def test_fused_replica_matches_composition():
+    # One lockstep task of three replicas against the single-environment
+    # pass and the dense-kernel reference for the linear term, bit for bit.
+    c = 0.27
     for d, n in ((1, 19), (2, 11)):
         kern = walk.build_kernel(d, n)
-        c = 0.27
-        for rep in range(3):
-            seed = environment.derive_replica_seed(5, d, rep)
-            z, k, msd, lin = harness.simulate_replica(d, n, c, seed, kern)
+        jobs = [(rep, environment.derive_replica_seed(5, d, rep)) for rep in range(3)]
+        rows = harness.simulate_replica(d, n, c, jobs)
+        assert [row[:2] for row in rows] == jobs
+        for (_, seed), (_, _, z, k, msd, lin) in zip(jobs, rows):
             env = environment.EnvironmentField(seed=seed, d=d, horizon=n)
             obs = engine.observables(engine.evolve_density(env, c, n))
             assert (z, k, msd) == (obs.Z, obs.K, obs.msd)
-            assert lin == fluctuation.linear_term(env, c, n, kern)
+            assert lin == float(np.sum(fluctuation.linear_components(env, c, n, kern)))
 
 
 def test_run_replicas_deterministic_across_workers():
@@ -52,6 +59,32 @@ def test_run_replicas_deterministic_across_workers():
     harness.write_csv(r1, buf1)
     harness.write_csv(r3, buf3)
     assert buf1.getvalue() == buf3.getvalue()
+
+
+def _csv_bytes(config) -> str:
+    buf = io.StringIO()
+    harness.write_csv(harness.run_replicas(config), buf)
+    return buf.getvalue()
+
+
+def test_batch_split_keeps_bytes(monkeypatch):
+    base = dict(d=1, eps=0.25, n_grid=(8, 16), replicas=10, master_seed=42)
+    unsplit = _csv_bytes(harness.ExperimentConfig(**base))
+    # Room for 3 layers at N = 16 and 5 at N = 8: tasks of 5+5 and 3+3+3+1.
+    monkeypatch.setattr(harness, "TASK_LAYER_BUDGET", 3 * harness.layer_bytes(1, 16))
+    sizes = []
+    simulate = harness.simulate_replica
+
+    def counting(d, N, c, jobs):
+        sizes.append(len(jobs))
+        return simulate(d, N, c, jobs)
+
+    with monkeypatch.context() as m:
+        m.setattr(harness, "simulate_replica", counting)
+        assert _csv_bytes(harness.ExperimentConfig(**base)) == unsplit
+    assert sizes == [5, 5, 3, 3, 3, 1]
+    for workers in (2, 3):
+        assert _csv_bytes(harness.ExperimentConfig(**base, workers=workers)) == unsplit
 
 
 def test_run_replicas_layout_and_seeds():
@@ -92,8 +125,6 @@ def test_single_replica_exceedance_is_zero_or_one():
 
 
 def test_chebyshev_bound_cap_and_formula():
-    from polymer_lab import moments
-
     assert harness.chebyshev_bound(64, 0.4, 1, 0.1) == 1.0
     b = harness.chebyshev_bound(16, 0.01, 1, 0.5)
     var_z, var_k = moments.centered_moments(16, 0.01, 1)
@@ -129,8 +160,6 @@ def test_normality_report_targets():
     m = row.metrics
     assert set(m) == {"centered", "linear", "remainder"}
     # exact targets wired through
-    from polymer_lab import moments
-
     assert m["centered"]["sigma2_target"] == pytest.approx(
         a * a * (moments.ez2_pairwalk(16, c, 1) - 1.0), rel=1e-12
     )

@@ -245,7 +245,7 @@ def test_build_kernel_validation():
         walk.build_kernel(1, -1)
     with pytest.raises(ValueError):
         walk.build_kernel(1, walk.MAX_KERNEL_DEPTH + 1)
-    with pytest.raises(ValueError, match="return_probability"):
+    with pytest.raises(ValueError, match="--nmax"):
         walk.build_kernel(2, 2 ** 14)
 
 
