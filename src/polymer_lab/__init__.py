@@ -12,7 +12,13 @@ from .engine import (
 from .environment import EnvironmentField, EnvironmentTable, derive_replica_seed
 from .fluctuation import ScalingRule, limit_variance, scaling
 from .harness import ExperimentConfig, run_replicas
-from .moments import centered_moments, ez2_pairwalk, ek2_pairwalk, weighted_fourth_sum
+from .moments import (
+    centered_moments,
+    ek2_pairwalk,
+    ez2_pairwalk,
+    ez2_renewal,
+    weighted_fourth_sum,
+)
 from .walk import TransitionKernel, build_kernel, return_probability
 
 __all__ = [
@@ -31,6 +37,7 @@ __all__ = [
     "evolve_density",
     "evolve_replicas",
     "ez2_pairwalk",
+    "ez2_renewal",
     "ek2_pairwalk",
     "fluctuation",
     "harness",

@@ -216,6 +216,7 @@ def _scaling_and_c(resolved: dict, N: int) -> tuple[float, float]:
 def _cmd_oracle(resolved: dict) -> int:
     _require(resolved, "dim", "N")
     d = resolved["dim"]
+    moments.check_expansion_cap(max(resolved["N"]), d)
     rows = []
     for N in resolved["N"]:
         c, _ = _scaling_and_c(resolved, N)

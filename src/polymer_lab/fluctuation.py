@@ -110,10 +110,12 @@ def linear_variance_exact(N: int, c: float, d: int) -> float:
 def remainder_variance_exact(N: int, c: float, d: int) -> float:
     """E[R_N^2] by orthogonality: E Z^2 - 1 - c^2 sum_{k<=N} p0(2k, 0).
 
-    The exact quantity is a variance; the float subtraction can round a hair
-    below zero when c is tiny, so the result is clamped at 0.
+    E Z^2 comes from the O(N^2) collision-time renewal (moments.ez2_renewal);
+    the tests cross-check it against the difference-walk DP.  The exact
+    quantity is a variance; the float subtraction can round a hair below
+    zero when c is tiny, so the result is clamped at 0.
     """
-    ez2 = moments.ez2_pairwalk(N, c, d)
+    ez2 = moments.ez2_renewal(N, c, d)
     val = ez2 - 1.0 - linear_variance_exact(N, c, d)
     return max(val, 0.0)
 

@@ -80,12 +80,7 @@ class ExperimentConfig:
                 rule.c_of(n)
         # The reports need exact moments up to the largest N; refuse here
         # rather than after every replica has been sampled.
-        cap = moments.EXPANSION_MAX_N[self.d]
-        if self.n_grid[-1] > cap:
-            raise ValueError(
-                f"N = {self.n_grid[-1]} is above the exact-moment cap N <= {cap} "
-                f"for d = {self.d}; choose --N <= {cap}"
-            )
+        moments.check_expansion_cap(self.n_grid[-1], self.d)
 
     def rule(self) -> fluctuation.ScalingRule:
         return fluctuation.scaling(self.d, self.eps)
@@ -295,9 +290,11 @@ def normality_report(results, rule: fluctuation.ScalingRule) -> list[SummaryStat
             row.degenerate = True
             rows.append(row)
             continue
-        var_z_exact = moments.ez2_pairwalk(N, c, d) - 1.0
+        var_z_exact = moments.ez2_renewal(N, c, d) - 1.0
         lin_var = fluctuation.linear_variance_exact(N, c, d)
-        rem_var = fluctuation.remainder_variance_exact(N, c, d)
+        # The value of fluctuation.remainder_variance_exact, from the E Z^2
+        # already in hand.
+        rem_var = max(var_z_exact - lin_var, 0.0)
         row.a = a
         row.var_Z_exact = var_z_exact
         row.sigma2_limit = fluctuation.limit_variance(d, N)

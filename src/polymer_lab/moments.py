@@ -13,15 +13,25 @@ and expanding the product over collision times gives the chain sum
 
 with E[K^2] carrying the extra terminal factor ((N - i_n) + |x_n|^2)^2.
 
+Summed over the number of collisions, the chain sum for E Z^2 is a scalar
+renewal over collision times, with q(k) = p0(2k, 0) the chance that two
+walks meet at time k:
+
+    E[Z(N)^2] = 1 + sum_{i<=N} g(i),   g = c^2 q + c^2 (g * q).
+
 Every quantity here is computed by at least two genuinely different routes:
 
-* pairwalk: direct dynamic programming over the pair of walks (difference
-  walk for Z^2, joint state for K^2) with multiplicative collision weights;
+* renewal: the O(N^2) scalar sum above; the route the CLI and the reports
+  take for E Z^2;
 * expansion: per-order dynamic programming over the last collision time,
   carrying only the mass / |y|^2 / |y|^4 summaries of the last-collision
-  site distribution (the terminal weight needs nothing more);
+  site distribution (the terminal weight needs nothing more); the route for
+  E K^2 beyond the joint pair DP's caps, and for the per-order terms;
+* pairwalk: direct dynamic programming over the pair of walks (difference
+  walk for Z^2, joint state for K^2) with multiplicative collision weights;
+  ez2_pairwalk is O(N^3) at d = 2 and is a cross-check only;
 * enumeration: literal sums over all path pairs, or over all environments,
-  for small N.
+  for small N; a cross-check only.
 
 The routes share no intermediate code beyond the packed layer stencil, which
 is the point: their agreement is the correctness argument.
@@ -39,20 +49,21 @@ from .environment import enumerate_environments
 
 # Joint-state pair DP caps: O(N * slice^2) cost envelopes.
 EK2_PAIRWALK_MAX_N = {1: 512, 2: 48}
-# Collision-expansion caps: O(N^2) time DP after an O(N * slice) moment pass.
-EXPANSION_MAX_N = {1: 4096, 2: 512}
+# Collision-expansion caps: an O(N^2) convolution per order after an O(N^2)
+# moment pass.
+EXPANSION_MAX_N = {1: 4096, 2: 4096}
 # Orders with relative contribution below this are truncated.
 _ORDER_TAIL_REL = 1e-17
 
-_collision_moment_cache: dict[int, walk.CollisionMoments] = {}
 
-
-def _cached_collision_moments(d: int, n_max: int) -> walk.CollisionMoments:
-    have = _collision_moment_cache.get(d)
-    if have is None or have.mass.shape[0] < n_max:
-        have = walk.collision_layer_moments(d, n_max)
-        _collision_moment_cache[d] = have
-    return have
+def check_expansion_cap(N: int, d: int) -> None:
+    """Refuse an N above the collision expansion's cap, naming the --N flag."""
+    cap = EXPANSION_MAX_N[d]
+    if N > cap:
+        raise ValueError(
+            f"N = {N} is above the exact-moment cap N <= {cap} "
+            f"for d = {d}; choose --N <= {cap}"
+        )
 
 
 def _check_args(N: int, c: float, d: int) -> None:
@@ -64,11 +75,31 @@ def _check_args(N: int, c: float, d: int) -> None:
         raise ValueError(f"c must satisfy 0 <= c < 1, got {c}")
 
 
+def ez2_renewal(N: int, c: float, d: int) -> float:
+    """E[Z^2] = 1 + sum_{i<=N} g(i) by the collision-time renewal.
+
+    g(i) = c^2 q(i) + c^2 sum_{j<i} g(j) q(i - j) sums every collision chain
+    whose last collision is at time i, with q(k) = p0(2k, 0).  One dot per
+    time step against a reversed copy of q: O(N^2) and no spatial layers.
+    """
+    _check_args(N, c, d)
+    c2 = c * c
+    q = walk.central_return_sequence(d, N)
+    q_rev = q[::-1].copy()
+    g = np.empty(N)
+    for i in range(1, N + 1):
+        # sum_{j=1}^{i-1} g(j) q(i - j); q(i - j) sits at q_rev[N - i + j].
+        g[i - 1] = c2 * (q[i - 1] + float(np.dot(g[: i - 1], q_rev[N - i + 1 :])))
+    return 1.0 + math.fsum(g.tolist())
+
+
 def ez2_pairwalk(N: int, c: float, d: int) -> float:
     """E[Z^2] via the difference walk D_n = omega(n) - omega~(n).
 
     D is a lazy +/-2 walk (independent per diagonal axis for d = 2); each
-    visit to 0 multiplies the accumulated weight by 1 + c^2.
+    visit to 0 multiplies the accumulated weight by 1 + c^2.  O(N^3) at
+    d = 2; the tests and the benchmark checks use it as a cross-check of
+    ez2_renewal.
     """
     _check_args(N, c, d)
     w = 1.0 + c * c
@@ -167,38 +198,38 @@ def _expansion(N: int, c: float, d: int, kind: str) -> CollisionExpansion:
 
         m4(mu * nu) = m4(mu) m0(nu) + m0(mu) m4(nu) + (2 + 4/d) m2(mu) m2(nu),
 
-    so the spatial sums never need to be carried explicitly.
+    so the spatial sums never need to be carried explicitly.  The z2 term
+    reads only the mass, so that kind carries m0 alone.
     """
     _check_args(N, c, d)
-    cap = EXPANSION_MAX_N[d]
-    if N > cap:
-        raise ValueError(f"collision expansion capped at N = {cap} for d = {d}")
-    cm = _cached_collision_moments(d, N)
-    q0 = cm.mass[:N]
-    q2 = cm.sq[:N]
-    q4 = cm.quart[:N]
+    check_expansion_cap(N, d)
+    cm = walk.collision_layer_moments(d, N)
+    q0 = cm.mass
+    q2 = cm.sq
+    q4 = cm.quart
     c2 = c * c
     cross = 2.0 + 4.0 / d
+    k2 = kind == "k2"
 
-    if kind == "z2":
-        orders = [1.0]
-
-        def term(a0, a2, a4, i):
-            return float(a0.sum())
-    else:
+    if k2:
         orders = [float(N) * N]
         back = (N - np.arange(1, N + 1)).astype(np.float64)
 
-        def term(a0, a2, a4, i):
+        def term(a0, a2, a4):
             return float(np.dot(back * back, a0) + 2.0 * np.dot(back, a2) + a4.sum())
+    else:
+        orders = [1.0]
+
+        def term(a0, a2, a4):
+            return float(a0.sum())
 
     # Order 1: single collision at time i with site distribution q(i, .).
     a0 = c2 * q0
-    a2 = c2 * q2
-    a4 = c2 * q4
+    a2 = c2 * q2 if k2 else None
+    a4 = c2 * q4 if k2 else None
     truncated = False
     for order in range(1, N + 1):
-        t = term(a0, a2, a4, order)
+        t = term(a0, a2, a4)
         orders.append(t)
         if t == 0.0 or t < _ORDER_TAIL_REL * math.fsum(orders):
             truncated = order < N
@@ -208,18 +239,19 @@ def _expansion(N: int, c: float, d: int, kind: str) -> CollisionExpansion:
         # Convolve in time with one more collision gap; index k of the
         # convolution output corresponds to time i = k + 2.
         b0 = np.convolve(a0, q0)[: N - 1]
-        b2 = np.convolve(a2, q0)[: N - 1] + np.convolve(a0, q2)[: N - 1]
-        b4 = (
-            np.convolve(a4, q0)[: N - 1]
-            + np.convolve(a0, q4)[: N - 1]
-            + cross * np.convolve(a2, q2)[: N - 1]
-        )
+        if k2:
+            b2 = np.convolve(a2, q0)[: N - 1] + np.convolve(a0, q2)[: N - 1]
+            b4 = (
+                np.convolve(a4, q0)[: N - 1]
+                + np.convolve(a0, q4)[: N - 1]
+                + cross * np.convolve(a2, q2)[: N - 1]
+            )
+            a2 = np.zeros(N)
+            a2[1:] = c2 * b2
+            a4 = np.zeros(N)
+            a4[1:] = c2 * b4
         a0 = np.zeros(N)
         a0[1:] = c2 * b0
-        a2 = np.zeros(N)
-        a2[1:] = c2 * b2
-        a4 = np.zeros(N)
-        a4[1:] = c2 * b4
     return CollisionExpansion(
         d=d, N=N, c=c, kind=kind, orders=np.array(orders), truncated=truncated
     )
@@ -283,13 +315,13 @@ def _check_times(times, N: int) -> np.ndarray:
 def centered_moments(N: int, c: float, d: int) -> tuple[float, float]:
     """(var Z, var K) = (E Z^2 - 1, E K^2 - N^2) from the exact oracles.
 
-    var Z always uses the difference-walk DP.  var K uses the joint pair DP
-    within its caps and the collision expansion beyond them; the two methods
-    are cross-checked against each other (and against enumeration) in the
-    test suite wherever both run.
+    var Z uses the O(N^2) collision-time renewal.  var K uses the joint pair
+    DP within its caps and the collision expansion beyond them.  The test
+    suite cross-checks every route against the others (the difference-walk
+    DP and enumeration included) wherever both run.
     """
     _check_args(N, c, d)
-    var_z = ez2_pairwalk(N, c, d) - 1.0
+    var_z = ez2_renewal(N, c, d) - 1.0
     if N <= EK2_PAIRWALK_MAX_N[d]:
         ek2 = ek2_pairwalk(N, c, d)
     else:

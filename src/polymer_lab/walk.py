@@ -363,10 +363,17 @@ def central_return_sequence(d: int, k_max: int) -> np.ndarray:
 
 
 def collision_layer_moments(d: int, n_max: int) -> CollisionMoments:
-    """Rolling-convolution pass collecting mass/sq/quart of p0(gap, .)^2.
+    """Rolling 1-D pass collecting mass/sq/quart of p0(gap, .)^2.
 
-    Stores only three scalars per gap, so it scales to gaps far beyond what a
-    dense kernel can hold (the d = 2 layers alone would be cubic in n_max).
+    Only the binomial layer b_n = p0(n, .) in d = 1 is ever held, so the pass
+    costs O(n_max^2) in both dimensions.  d = 2 factorises in the diagonal
+    coordinates: p0 = b_n (x) b_n and |x|^2 = (u^2 + v^2)/2, so with
+    S_j = sum_u u^j b_n(u)^2 (the d = 1 mass, sq and quart)
+
+        mass = S0^2,  sq = S0 S2,  quart = (S0 S4 + S2^2)/2.
+
+    The direct lattice sums over a dense kernel are the reference in the
+    tests.
     """
     _check_dim(d)
     if n_max < 1:
@@ -374,12 +381,14 @@ def collision_layer_moments(d: int, n_max: int) -> CollisionMoments:
     mass = np.empty(n_max)
     sq = np.empty(n_max)
     quart = np.empty(n_max)
-    lay = np.ones((1,) if d == 1 else (1, 1))
+    lay = np.ones(1)
     for n in range(1, n_max + 1):
-        lay = step_layer(lay, d)
+        lay = step_layer(lay, 1)
         q = lay * lay
-        w = slice_sqnorm(d, n)
+        w = slice_sqnorm(1, n)
         mass[n - 1] = float(q.sum())
-        sq[n - 1] = float(np.dot(q.ravel(), w.ravel()))
-        quart[n - 1] = float(np.dot(q.ravel(), (w * w).ravel()))
+        sq[n - 1] = float(np.dot(q, w))
+        quart[n - 1] = float(np.dot(q, w * w))
+    if d == 2:
+        mass, sq, quart = mass * mass, mass * sq, 0.5 * (mass * quart + sq * sq)
     return CollisionMoments(d=d, mass=mass, sq=sq, quart=quart)

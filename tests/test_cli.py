@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from polymer_lab import cli, harness
+from polymer_lab import cli, fluctuation, harness, moments
 
 
 def run_cli(argv, capsys):
@@ -112,7 +112,7 @@ def test_concentration_subcommand(capsys):
     assert row["chebyshev_bound"] <= 1.0
 
 
-@pytest.mark.parametrize("dim,n,cap", [("1", "5000", 4096), ("2", "1024", 512)])
+@pytest.mark.parametrize("dim,n,cap", [("1", "5000", 4096), ("2", "5000", 4096)])
 def test_simulate_refuses_n_above_moment_cap(dim, n, cap, capsys, monkeypatch):
     def no_sampling(*args):
         raise AssertionError("a replica ran before the N cap was checked")
@@ -125,6 +125,40 @@ def test_simulate_refuses_n_above_moment_cap(dim, n, cap, capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert f"N <= {cap}" in err and "--N" in err
+
+
+@pytest.mark.parametrize("dim", ["1", "2"])
+def test_oracle_refuses_n_above_moment_cap(dim, capsys, monkeypatch):
+    def no_expansion(*args):
+        raise AssertionError("an oracle row ran before the N cap was checked")
+
+    monkeypatch.setattr(moments, "ez2_expansion", no_expansion)
+    cap = moments.EXPANSION_MAX_N[int(dim)]
+    code, out, err = run_cli(
+        ["oracle", "--dim", dim, "--N", "64", "--N", str(cap + 1), "--eps", "0.05"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert f"N <= {cap}" in err and "--N" in err
+
+
+def test_cli_paths_do_not_need_the_pairwalk_dp(capsys, monkeypatch):
+    # The difference-walk DP is a cross-check only: every CLI path and report
+    # gets E Z^2 from the renewal.
+    def no_pairwalk(*args):
+        raise AssertionError("moments.ez2_pairwalk called outside the cross-checks")
+
+    monkeypatch.setattr(moments, "ez2_pairwalk", no_pairwalk)
+    moments.centered_moments(64, 0.3, 2)
+    fluctuation.remainder_variance_exact(64, 0.3, 2)
+    config = harness.ExperimentConfig(d=2, eps=0.25, n_grid=(8, 16), replicas=3, master_seed=1)
+    rows = harness.normality_report(harness.run_replicas(config), config.rule())
+    assert all(r.var_Z_exact > 0.0 for r in rows)
+    code, _, err = run_cli(["oracle", "--dim", "2", "--N", "64", "--N", "256", "--eps", "0.25"], capsys)
+    assert code == 0, err
+    code, out, err = run_cli(["clt", "--dim", "2", "--N", "64", "--N", "4096", "--eps", "0.25"], capsys)
+    assert code == 0, err
+    assert [r["N"] for r in json.loads(out)["rows"]] == [64, 4096]
 
 
 def test_config_file_defaults_and_flag_override(tmp_path, capsys):

@@ -47,6 +47,7 @@ def test_pairwalk_equals_expansion(d, n, c):
     a = moments.ez2_pairwalk(n, c, d)
     b = moments.ez2_expansion(n, c, d).total
     assert b == pytest.approx(a, rel=1e-12)
+    assert moments.ez2_renewal(n, c, d) == pytest.approx(a, rel=1e-12)
     ak = moments.ek2_pairwalk(n, c, d)
     bk = moments.ek2_expansion(n, c, d).total
     assert bk == pytest.approx(ak, rel=1e-12)
@@ -58,7 +59,31 @@ def test_enumeration_agrees(d, n_hi):
         for c in (0.15, 0.45):
             ez, ek = moments.pair_enumeration_moments(n, c, d)
             assert ez == pytest.approx(moments.ez2_pairwalk(n, c, d), rel=1e-11)
+            assert ez == pytest.approx(moments.ez2_renewal(n, c, d), rel=1e-11)
             assert ek == pytest.approx(moments.ek2_pairwalk(n, c, d), rel=1e-11)
+
+
+@pytest.mark.parametrize("c", [0.05, 0.3, 0.6])
+@pytest.mark.parametrize(
+    "d,n", [(1, 1), (1, 2), (1, 37), (1, 300), (2, 1), (2, 2), (2, 37), (2, 120)]
+)
+def test_renewal_equals_pairwalk(d, n, c):
+    assert moments.ez2_renewal(n, c, d) == pytest.approx(
+        moments.ez2_pairwalk(n, c, d), rel=1e-12
+    )
+
+
+def test_renewal_beyond_expansion_cap():
+    # The renewal has no cap; at the cap it agrees with the expansion.
+    for d in (1, 2):
+        cap = moments.EXPANSION_MAX_N[d]
+        c = 0.1
+        assert moments.ez2_renewal(cap, c, d) == pytest.approx(
+            moments.ez2_expansion(cap, c, d).total, rel=1e-12
+        )
+    assert moments.ez2_renewal(2 * moments.EXPANSION_MAX_N[2], 0.0, 2) == 1.0
+    with pytest.raises(ValueError, match="--N"):
+        moments.ez2_expansion(moments.EXPANSION_MAX_N[2] + 1, 0.1, 2)
 
 
 def test_enumeration_cap():
@@ -148,9 +173,7 @@ def test_bound_calibration_geometric_domination():
 
 
 def test_arg_validation():
-    with pytest.raises(ValueError):
-        moments.ez2_pairwalk(0, 0.2, 1)
-    with pytest.raises(ValueError):
-        moments.ez2_pairwalk(3, 1.0, 1)
-    with pytest.raises(ValueError):
-        moments.ez2_pairwalk(3, 0.2, 3)
+    for oracle in (moments.ez2_pairwalk, moments.ez2_renewal):
+        for bad in ((0, 0.2, 1), (3, 1.0, 1), (3, 0.2, 3)):
+            with pytest.raises(ValueError):
+                oracle(*bad)

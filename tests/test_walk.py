@@ -238,6 +238,22 @@ def test_collision_layer_moments_match_direct_sums(d, kernel1, kernel2):
         assert q.quart[g - 1] == pytest.approx(float((lay * lay * sq * sq).sum()), rel=1e-13)
 
 
+def test_collision_layer_moments_d2_factorisation_full_depth(kernel2):
+    # The d = 2 pass holds only the 1-D binomial layer; pin it at every depth
+    # the dense 2-D kernel holds, against the 2-D lattice sums and against
+    # the collision identity sum_x p0(g, x)^2 = p0(2g, 0).
+    depth = kernel2.n_max
+    q = walk.collision_layer_moments(2, depth)
+    assert q.mass.shape == q.sq.shape == q.quart.shape == (depth,)
+    for g in range(1, depth + 1):
+        q2 = kernel2.layer(g) ** 2
+        sq = walk.slice_sqnorm(2, g)
+        assert q.mass[g - 1] == pytest.approx(float(q2.sum()), rel=1e-13)
+        assert q.mass[g - 1] == pytest.approx(walk.return_probability(2, 2 * g), rel=1e-13)
+        assert q.sq[g - 1] == pytest.approx(float((q2 * sq).sum()), rel=1e-13)
+        assert q.quart[g - 1] == pytest.approx(float((q2 * sq * sq).sum()), rel=1e-13)
+
+
 def test_build_kernel_validation():
     with pytest.raises(ValueError):
         walk.build_kernel(3, 4)
