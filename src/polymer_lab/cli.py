@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import asdict
@@ -202,15 +201,14 @@ def _cmd_moments(resolved: dict) -> int:
     return 0
 
 
-def _scaling_and_c(resolved: dict, N: int) -> tuple[float, float]:
-    d = resolved["dim"]
-    eps = resolved.get("eps")
+def _c_of(resolved: dict, N: int) -> float:
+    """--c if given, else c_N of the scaling rule at --eps."""
     c = resolved.get("c")
     if c is None:
-        if eps is None:
+        if resolved.get("eps") is None:
             raise ValueError("need --eps or --c to fix the disorder strength")
-        c = fluctuation.scaling(d, eps).c_of(N)
-    return c, eps
+        c = fluctuation.scaling(resolved["dim"], resolved["eps"]).c_of(N)
+    return c
 
 
 def _cmd_oracle(resolved: dict) -> int:
@@ -219,12 +217,11 @@ def _cmd_oracle(resolved: dict) -> int:
     moments.check_expansion_cap(max(resolved["N"]), d)
     rows = []
     for N in resolved["N"]:
-        c, _ = _scaling_and_c(resolved, N)
-        ez = moments.ez2_expansion(N, c, d)
-        ek = moments.ek2_expansion(N, c, d)
+        c = _c_of(resolved, N)
+        ez, ek = moments.collision_expansions(N, c, d)
         ez2 = ez.total
         ek2 = ek.total
-        s = c * c * (math.sqrt(N) if d == 1 else math.log(N))
+        s = c * c * fluctuation.collision_scale(d, N)
         rows.append(
             {
                 "d": d,
@@ -251,8 +248,7 @@ def _cmd_clt(resolved: dict) -> int:
     rule = fluctuation.scaling(d, eps)
     rows = []
     for N in resolved["N"]:
-        c = resolved.get("c")
-        c = rule.c_of(N) if c is None else c
+        c = _c_of(resolved, N)
         a = rule.a_of(N, c)
         rem = fluctuation.remainder_variance_exact(N, c, d)
         rows.append(
@@ -289,57 +285,51 @@ def _experiment_config(resolved: dict) -> harness.ExperimentConfig:
     )
 
 
-def _run_and_report(resolved: dict) -> tuple[harness.ExperimentConfig, list, list, list]:
+def _run_and_report(resolved: dict) -> tuple[list, list, list]:
     config = _experiment_config(resolved)
     results = harness.run_replicas(config)
     conc = harness.concentration_report(results, config.eps_prob)
     norm = harness.normality_report(results, config.rule())
-    return config, results, conc, norm
+    return results, conc, norm
+
+
+def _check_exit(resolved: dict, conc: list, norm: list) -> int:
+    """With --check, report every failed check on stderr and return 3."""
+    problems = harness.check_failures(conc, norm) if resolved.get("check") else []
+    for p in problems:
+        sys.stderr.write(f"check failed: {p}\n")
+    return _CHECK_EXIT if problems else 0
 
 
 def _cmd_simulate(resolved: dict) -> int:
-    config, results, conc, norm = _run_and_report(resolved)
+    results, conc, norm = _run_and_report(resolved)
     payload = {
         "config": _echo(resolved, "simulate"),
         "concentration": [asdict(r) for r in conc],
         "normality": [asdict(r) for r in norm],
     }
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     out = resolved.get("out")
     if out:
         outdir = Path(out)
         outdir.mkdir(parents=True, exist_ok=True)
         with open(outdir / "replicas.csv", "w") as fh:
             harness.write_csv(results, fh)
-        (outdir / "summary.json").write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        )
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        (outdir / "summary.json").write_text(text)
     else:
         harness.write_csv(results, sys.stdout)
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    if resolved.get("check"):
-        problems = harness.check_failures(conc, norm)
-        if problems:
-            for p in problems:
-                sys.stderr.write(f"check failed: {p}\n")
-            return _CHECK_EXIT
-    return 0
+    sys.stdout.write(text)
+    return _check_exit(resolved, conc, norm)
 
 
 def _cmd_concentration(resolved: dict) -> int:
-    config, results, conc, norm = _run_and_report(resolved)
+    _, conc, norm = _run_and_report(resolved)
     payload = {
         "config": _echo(resolved, "concentration"),
         "rows": [asdict(r) for r in conc],
     }
     _emit(payload, resolved.get("out"), filename="concentration.json")
-    if resolved.get("check"):
-        problems = harness.check_failures(conc, norm)
-        if problems:
-            for p in problems:
-                sys.stderr.write(f"check failed: {p}\n")
-            return _CHECK_EXIT
-    return 0
+    return _check_exit(resolved, conc, norm)
 
 
 def _echo(resolved: dict, command: str) -> dict:

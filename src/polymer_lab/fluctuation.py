@@ -35,6 +35,11 @@ from . import moments, walk
 SIGMA2_LIMIT = {1: 2.0 / math.sqrt(math.pi), 2: 1.0 / math.pi}
 
 
+def collision_scale(d: int, N: int) -> float:
+    """sqrt(N) (d = 1) or log N (d = 2); c^2 times it is the collision scale."""
+    return math.sqrt(N) if d == 1 else math.log(N)
+
+
 @dataclass(frozen=True)
 class ScalingRule:
     """Disorder strength and normalizer schedules c_N, a_N for one dimension.
@@ -68,8 +73,7 @@ class ScalingRule:
             c = self.c_of(N)
         if not c > 0.0:
             raise ValueError("normalizer undefined at c = 0")
-        scale = math.sqrt(N) if self.d == 1 else math.log(N)
-        return (c * c * scale) ** -0.5
+        return (c * c * collision_scale(self.d, N)) ** -0.5
 
     def _check_n(self, N: int) -> None:
         if self.d == 2 and N < 2:
@@ -130,6 +134,5 @@ def limit_variance(d: int, N: int) -> float:
         raise ValueError(f"dimension must be 1 or 2, got {d!r}")
     if N < 1 or (d == 2 and N < 2):
         raise ValueError(f"N = {N} out of range for d = {d}")
-    scale = math.sqrt(N) if d == 1 else math.log(N)
     returns = walk.central_return_sequence(d, N)
-    return math.fsum(returns.tolist()) / scale
+    return math.fsum(returns.tolist()) / collision_scale(d, N)

@@ -25,11 +25,12 @@ Every quantity here is computed by at least two genuinely different routes:
   take for E Z^2;
 * expansion: per-order dynamic programming over the last collision time,
   carrying only the mass / |y|^2 / |y|^4 summaries of the last-collision
-  site distribution (the terminal weight needs nothing more); the route for
-  E K^2 beyond the joint pair DP's caps, and for the per-order terms;
+  site distribution (the terminal weight needs nothing more); one pass gives
+  the per-order terms of both E Z^2 and E K^2, and it is the route every
+  CLI path takes for E K^2;
 * pairwalk: direct dynamic programming over the pair of walks (difference
   walk for Z^2, joint state for K^2) with multiplicative collision weights;
-  ez2_pairwalk is O(N^3) at d = 2 and is a cross-check only;
+  O(N^3) and more, a cross-check only;
 * enumeration: literal sums over all path pairs, or over all environments,
   for small N; a cross-check only.
 
@@ -47,7 +48,7 @@ import numpy as np
 from . import engine, walk
 from .environment import enumerate_environments
 
-# Joint-state pair DP caps: O(N * slice^2) cost envelopes.
+# Joint-state pair DP caps (a route only the tests take): O(N * slice^2) costs.
 EK2_PAIRWALK_MAX_N = {1: 512, 2: 48}
 # Collision-expansion caps: an O(N^2) convolution per order after an O(N^2)
 # moment pass.
@@ -66,6 +67,20 @@ def check_expansion_cap(N: int, d: int) -> None:
         )
 
 
+def _fsum_finite(values, N: int, c: float, d: int) -> float:
+    """math.fsum of nonnegative terms, refusing a sum that float64 cannot hold."""
+    try:
+        total = math.fsum(values)
+        if math.isfinite(total):
+            return total
+    except OverflowError:
+        pass
+    raise ValueError(
+        f"exact second moments overflow float64 at N = {N}, c = {c!r} (d = {d}); "
+        "lower --c (or raise --eps) or --N"
+    )
+
+
 def _check_args(N: int, c: float, d: int) -> None:
     if d not in (1, 2):
         raise ValueError(f"dimension must be 1 or 2, got {d!r}")
@@ -75,6 +90,7 @@ def _check_args(N: int, c: float, d: int) -> None:
         raise ValueError(f"c must satisfy 0 <= c < 1, got {c}")
 
 
+@np.errstate(over="ignore")  # _fsum_finite refuses the overflowed sum
 def ez2_renewal(N: int, c: float, d: int) -> float:
     """E[Z^2] = 1 + sum_{i<=N} g(i) by the collision-time renewal.
 
@@ -90,7 +106,7 @@ def ez2_renewal(N: int, c: float, d: int) -> float:
     for i in range(1, N + 1):
         # sum_{j=1}^{i-1} g(j) q(i - j); q(i - j) sits at q_rev[N - i + j].
         g[i - 1] = c2 * (q[i - 1] + float(np.dot(g[: i - 1], q_rev[N - i + 1 :])))
-    return 1.0 + math.fsum(g.tolist())
+    return 1.0 + _fsum_finite(g.tolist(), N, c, d)
 
 
 def ez2_pairwalk(N: int, c: float, d: int) -> float:
@@ -188,58 +204,50 @@ class CollisionExpansion:
         return math.fsum(self.orders.tolist())
 
 
-def _expansion(N: int, c: float, d: int, kind: str) -> CollisionExpansion:
-    """Shared per-order DP over the last collision time.
+def _extend(orders: list, t: float, N: int, c: float, d: int) -> bool:
+    """Append the next order's term; False once it falls below the tail cutoff."""
+    orders.append(t)
+    return not (t == 0.0 or t < _ORDER_TAIL_REL * _fsum_finite(orders, N, c, d))
+
+
+@np.errstate(over="ignore", invalid="ignore")  # _fsum_finite refuses overflowed orders
+def collision_expansions(N: int, c: float, d: int) -> tuple[CollisionExpansion, CollisionExpansion]:
+    """Per-order collision expansions of E[Z^2] and E[K^2] in one pass.
 
     State per order: arrays over the last collision time i = 1..N holding the
-    mass m0, second moment m2 and fourth moment m4 of the last-collision site
+    mass a0, second moment a2 and fourth moment a4 of the last-collision site
     distribution.  Convolving two centrally symmetric site distributions only
     mixes these summaries:
 
         m4(mu * nu) = m4(mu) m0(nu) + m0(mu) m4(nu) + (2 + 4/d) m2(mu) m2(nu),
 
-    so the spatial sums never need to be carried explicitly.  The z2 term
-    reads only the mass, so that kind carries m0 alone.
+    so the spatial sums never need to be carried explicitly.  Each chain stops
+    at its own tail cutoff, and a2/a4 are not convolved once the K^2 chain
+    has stopped; a sum beyond float64 raises ValueError.
     """
     _check_args(N, c, d)
     check_expansion_cap(N, d)
     cm = walk.collision_layer_moments(d, N)
-    q0 = cm.mass
-    q2 = cm.sq
-    q4 = cm.quart
+    q0, q2, q4 = cm.mass, cm.sq, cm.quart
     c2 = c * c
     cross = 2.0 + 4.0 / d
-    k2 = kind == "k2"
-
-    if k2:
-        orders = [float(N) * N]
-        back = (N - np.arange(1, N + 1)).astype(np.float64)
-
-        def term(a0, a2, a4):
-            return float(np.dot(back * back, a0) + 2.0 * np.dot(back, a2) + a4.sum())
-    else:
-        orders = [1.0]
-
-        def term(a0, a2, a4):
-            return float(a0.sum())
-
+    back = (N - np.arange(1, N + 1)).astype(np.float64)
+    z_orders = [1.0]
+    k_orders = [float(N) * N]
+    z_open = k_open = True
     # Order 1: single collision at time i with site distribution q(i, .).
-    a0 = c2 * q0
-    a2 = c2 * q2 if k2 else None
-    a4 = c2 * q4 if k2 else None
-    truncated = False
+    a0, a2, a4 = c2 * q0, c2 * q2, c2 * q4
     for order in range(1, N + 1):
-        t = term(a0, a2, a4)
-        orders.append(t)
-        if t == 0.0 or t < _ORDER_TAIL_REL * math.fsum(orders):
-            truncated = order < N
-            break
-        if order == N:
+        z_open = z_open and _extend(z_orders, float(a0.sum()), N, c, d)
+        k_open = k_open and _extend(
+            k_orders, float(np.dot(back * back, a0) + 2.0 * np.dot(back, a2) + a4.sum()), N, c, d
+        )
+        if order == N or not (z_open or k_open):
             break
         # Convolve in time with one more collision gap; index k of the
         # convolution output corresponds to time i = k + 2.
         b0 = np.convolve(a0, q0)[: N - 1]
-        if k2:
+        if k_open:
             b2 = np.convolve(a2, q0)[: N - 1] + np.convolve(a0, q2)[: N - 1]
             b4 = (
                 np.convolve(a4, q0)[: N - 1]
@@ -252,19 +260,22 @@ def _expansion(N: int, c: float, d: int, kind: str) -> CollisionExpansion:
             a4[1:] = c2 * b4
         a0 = np.zeros(N)
         a0[1:] = c2 * b0
-    return CollisionExpansion(
-        d=d, N=N, c=c, kind=kind, orders=np.array(orders), truncated=truncated
+    return tuple(
+        CollisionExpansion(
+            d=d, N=N, c=c, kind=kind, orders=np.array(orders), truncated=len(orders) <= N
+        )
+        for kind, orders in (("z2", z_orders), ("k2", k_orders))
     )
 
 
 def ez2_expansion(N: int, c: float, d: int) -> CollisionExpansion:
     """Per-order collision expansion of E[Z^2]."""
-    return _expansion(N, c, d, "z2")
+    return collision_expansions(N, c, d)[0]
 
 
 def ek2_expansion(N: int, c: float, d: int) -> CollisionExpansion:
     """Per-order collision expansion of E[K^2] (terminal ((N-i) + |y|^2)^2)."""
-    return _expansion(N, c, d, "k2")
+    return collision_expansions(N, c, d)[1]
 
 
 def weighted_fourth_sum(times, N: int, d: int) -> float:
@@ -315,18 +326,12 @@ def _check_times(times, N: int) -> np.ndarray:
 def centered_moments(N: int, c: float, d: int) -> tuple[float, float]:
     """(var Z, var K) = (E Z^2 - 1, E K^2 - N^2) from the exact oracles.
 
-    var Z uses the O(N^2) collision-time renewal.  var K uses the joint pair
-    DP within its caps and the collision expansion beyond them.  The test
-    suite cross-checks every route against the others (the difference-walk
-    DP and enumeration included) wherever both run.
+    var Z uses the O(N^2) collision-time renewal, var K the collision
+    expansion.  The test suite cross-checks both against the pair DPs and
+    enumeration wherever those run.
     """
-    _check_args(N, c, d)
     var_z = ez2_renewal(N, c, d) - 1.0
-    if N <= EK2_PAIRWALK_MAX_N[d]:
-        ek2 = ek2_pairwalk(N, c, d)
-    else:
-        ek2 = ek2_expansion(N, c, d).total
-    return var_z, ek2 - float(N) * N
+    return var_z, ek2_expansion(N, c, d).total - float(N) * N
 
 
 @dataclass(frozen=True)
@@ -399,12 +404,13 @@ def bound_calibration(d: int, n_grid, rule) -> list[CalibrationRow]:
     scale s = c^2 sqrt(N) resp. c^2 log N must stay below 1/A for the
     geometric series to close, which is what the returned constants verify.
     """
+    from .fluctuation import collision_scale  # fluctuation imports this module
+
     rows = []
     for N in n_grid:
         c = rule.c_of(N)
-        s = c * c * (math.sqrt(N) if d == 1 else math.log(N))
-        ez = ez2_expansion(N, c, d)
-        ek = ek2_expansion(N, c, d)
+        s = c * c * collision_scale(d, N)
+        ez, ek = collision_expansions(N, c, d)
         ez2 = ez.total
         ek2 = ek.total
         rows.append(

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from polymer_lab import cli, fluctuation, harness, moments
+from polymer_lab import cli, fluctuation, harness, moments, walk
 
 
 def run_cli(argv, capsys):
@@ -143,13 +143,15 @@ def test_oracle_refuses_n_above_moment_cap(dim, capsys, monkeypatch):
 
 
 def test_cli_paths_do_not_need_the_pairwalk_dp(capsys, monkeypatch):
-    # The difference-walk DP is a cross-check only: every CLI path and report
-    # gets E Z^2 from the renewal.
+    # The pair DPs are cross-checks only: every CLI path and report gets
+    # E Z^2 from the renewal and E K^2 from the collision expansion.
     def no_pairwalk(*args):
-        raise AssertionError("moments.ez2_pairwalk called outside the cross-checks")
+        raise AssertionError("a pair-walk DP called outside the cross-checks")
 
     monkeypatch.setattr(moments, "ez2_pairwalk", no_pairwalk)
+    monkeypatch.setattr(moments, "ek2_pairwalk", no_pairwalk)
     moments.centered_moments(64, 0.3, 2)
+    moments.centered_moments(16, 0.3, 1)
     fluctuation.remainder_variance_exact(64, 0.3, 2)
     config = harness.ExperimentConfig(d=2, eps=0.25, n_grid=(8, 16), replicas=3, master_seed=1)
     rows = harness.normality_report(harness.run_replicas(config), config.rule())
@@ -159,6 +161,35 @@ def test_cli_paths_do_not_need_the_pairwalk_dp(capsys, monkeypatch):
     code, out, err = run_cli(["clt", "--dim", "2", "--N", "64", "--N", "4096", "--eps", "0.25"], capsys)
     assert code == 0, err
     assert [r["N"] for r in json.loads(out)["rows"]] == [64, 4096]
+    for argv in (["--dim", "1", "--N", "32", "--N", "64"], ["--dim", "2", "--N", "16"]):
+        code, _, err = run_cli(
+            ["simulate", *argv, "--eps", "0.25", "--replicas", "4", "--seed", "3"], capsys
+        )
+        assert code == 0, err
+
+
+def test_oracle_makes_one_collision_pass_per_row(capsys, monkeypatch):
+    calls = []
+    real = walk.collision_layer_moments
+
+    def counted(d, N):
+        calls.append((d, N))
+        return real(d, N)
+
+    monkeypatch.setattr(walk, "collision_layer_moments", counted)
+    code, _, err = run_cli(
+        ["oracle", "--dim", "1", "--N", "16", "--N", "64", "--N", "256", "--eps", "0.05"], capsys
+    )
+    assert code == 0, err
+    assert calls == [(1, 16), (1, 64), (1, 256)]
+
+
+def test_oracle_refuses_moments_beyond_float64(capsys):
+    code, out, err = run_cli(["oracle", "--dim", "1", "--N", "2800", "--c", "0.95"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "N = 2800" in err and "float64" in err
+    assert "--c" in err and "--eps" in err and "--N" in err
 
 
 def test_config_file_defaults_and_flag_override(tmp_path, capsys):

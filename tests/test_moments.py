@@ -141,15 +141,47 @@ def test_expansion_orders_positive_and_truncation():
     assert exp.truncated or exp.orders.shape[0] == 201
 
 
-def test_centered_moments_routing_agrees_at_cap():
-    # below the joint-DP cap both routes must coincide
+def test_centered_moments_single_route():
+    # var K comes from the collision expansion at every N; the joint pair DP
+    # is the reference where it runs.
     for d, n in ((1, 40), (2, 12)):
         c = 0.3
-        pair = moments.ek2_pairwalk(n, c, d)
-        exp = moments.ek2_expansion(n, c, d).total
-        assert exp == pytest.approx(pair, rel=1e-12)
-        _, var_k = moments.centered_moments(n, c, d)
-        assert var_k == pytest.approx(pair - float(n) * n, rel=1e-10, abs=1e-9)
+        var_z, var_k = moments.centered_moments(n, c, d)
+        assert var_k == moments.ek2_expansion(n, c, d).total - float(n) * n
+        assert var_k == pytest.approx(
+            moments.ek2_pairwalk(n, c, d) - float(n) * n, rel=1e-10, abs=1e-9
+        )
+        assert var_z == pytest.approx(moments.ez2_pairwalk(n, c, d) - 1.0, rel=1e-12)
+
+
+# `first` names the chain that stops at an earlier order; at (1, 16, 0.35)
+# and (2, 16, 0.5) the K^2 chain runs to order N untruncated.
+@pytest.mark.parametrize(
+    "first,d,n,c",
+    [("z2", 1, 16, 0.35), ("z2", 1, 32, 0.3), ("z2", 2, 16, 0.5), ("z2", 2, 24, 0.75),
+     ("k2", 1, 200, 0.1), ("k2", 2, 32, 0.2), ("k2", 2, 48, 0.15)],
+)
+def test_shared_pass_matches_references(first, d, n, c):
+    ez, ek = moments.collision_expansions(n, c, d)
+    assert (ez.kind, ek.kind) == ("z2", "k2")
+    lengths = {"z2": ez.orders.shape[0], "k2": ek.orders.shape[0]}
+    assert lengths[first] < max(lengths.values())
+    assert ez.truncated == (ez.orders.shape[0] <= n)
+    assert ek.truncated == (ek.orders.shape[0] <= n)
+    assert ez.total == pytest.approx(moments.ez2_renewal(n, c, d), rel=1e-12)
+    assert ek.total == pytest.approx(moments.ek2_pairwalk(n, c, d), rel=1e-12)
+    assert np.array_equal(moments.ez2_expansion(n, c, d).orders, ez.orders)
+    assert np.array_equal(moments.ek2_expansion(n, c, d).orders, ek.orders)
+
+
+def test_overflow_refused_on_both_routes():
+    # E Z^2 at d = 1, N = 2800, c = 0.95 is beyond float64.  The expansion
+    # runs hundreds of orders before its sum overflows, so it is called once.
+    for route in (moments.ez2_renewal, moments.collision_expansions, moments.centered_moments):
+        with pytest.raises(ValueError, match=r"N = 2800, c = 0\.95") as exc:
+            route(2800, 0.95, 1)
+        assert "--c" in str(exc.value) and "--eps" in str(exc.value)
+        assert "--N" in str(exc.value)
 
 
 def test_monotone_in_c():
