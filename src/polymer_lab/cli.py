@@ -218,10 +218,9 @@ def _cmd_oracle(resolved: dict) -> int:
     rows = []
     for N in resolved["N"]:
         c = _c_of(resolved, N)
-        ez, ek = moments.collision_expansions(N, c, d)
-        ez2 = ez.total
-        ek2 = ek.total
-        s = c * c * fluctuation.collision_scale(d, N)
+        cal = moments.calibrate(N, c, d)
+        ez2 = cal.z2.total
+        ek2 = cal.k2.total
         rows.append(
             {
                 "d": d,
@@ -231,9 +230,13 @@ def _cmd_oracle(resolved: dict) -> int:
                 "ek2": ek2,
                 "var_Z": ez2 - 1.0,
                 "var_K": ek2 - float(N) * N,
-                "per_order_terms": ez.orders.tolist(),
-                "k2_order_terms": ek.orders.tolist(),
-                "calibrated_A": moments._smallest_dominating_a(ez2, s, N, 1.0) if s > 0 else 0.0,
+                "per_order_terms": cal.z2.orders.tolist(),
+                "k2_order_terms": cal.k2.orders.tolist(),
+                "s": cal.s,
+                "calibrated_A": cal.a_total_z2,
+                "a_order_z2": cal.a_order_z2,
+                "a_total_k2": cal.a_total_k2,
+                "a_order_k2": cal.a_order_k2,
             }
         )
     payload = {"config": _echo(resolved, "oracle"), "rows": rows}
@@ -287,9 +290,10 @@ def _experiment_config(resolved: dict) -> harness.ExperimentConfig:
 
 def _run_and_report(resolved: dict) -> tuple[list, list, list]:
     config = _experiment_config(resolved)
+    exact = harness.exact_moments(config)
     results = harness.run_replicas(config)
-    conc = harness.concentration_report(results, config.eps_prob)
-    norm = harness.normality_report(results, config.rule())
+    conc = harness.concentration_report(results, exact, config.eps_prob)
+    norm = harness.normality_report(results, exact, config.rule())
     return results, conc, norm
 
 

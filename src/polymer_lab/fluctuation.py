@@ -77,7 +77,7 @@ class ScalingRule:
 
     def _check_n(self, N: int) -> None:
         if self.d == 2 and N < 2:
-            raise ValueError("d = 2 scaling needs N >= 2 (log N must be positive)")
+            raise ValueError("d = 2 scaling needs N >= 2 (log N must be positive); choose --N >= 2")
         if N < 1:
             raise ValueError(f"N must be >= 1, got {N}")
 

@@ -9,6 +9,10 @@ worker count and on a fixed memory budget for its layers.  Every replica's
 numbers come from the same operations whatever task it lands in, so output
 bytes are identical for any worker count.  No transition kernel is built:
 the linear term reads the pass's rolling free-walk layer.
+
+The exact moments a run's reports compare against come from exact_moments,
+once per grid point; the CLI calls it before it samples any replica.  The
+reports take those values as input and call no oracle.
 """
 
 from __future__ import annotations
@@ -73,11 +77,13 @@ class ExperimentConfig:
             raise ValueError("eps_prob must lie in (0, 1)")
         if self.c_override is not None and not 0.0 <= self.c_override < 1.0:
             raise ValueError("c override must satisfy 0 <= c < 1")
-        # Validates eps (and N >= 2 for d = 2 when c is not overridden).
+        # Validates eps, c_N, and a_N wherever c > 0 (the normality report
+        # needs it), which refuses N = 1 for d = 2.
         rule = fluctuation.scaling(self.d, self.eps)
-        if self.c_override is None:
-            for n in self.n_grid:
-                rule.c_of(n)
+        for n in self.n_grid:
+            c = self.c_of(n)
+            if c > 0.0:
+                rule.a_of(n, c)
         # The reports need exact moments up to the largest N; refuse here
         # rather than after every replica has been sampled.
         moments.check_expansion_cap(self.n_grid[-1], self.d)
@@ -189,20 +195,31 @@ def _group(results) -> dict[tuple[int, int, float], list[ReplicaResult]]:
     return groups
 
 
-def chebyshev_bound(N: int, c: float, d: int, eps_prob: float) -> float:
-    """Union Chebyshev bound on P(|msd/N - 1| > eps_prob) from exact moments.
+def exact_moments(config: ExperimentConfig) -> dict[int, tuple[float, float]]:
+    """(var Z, var K) per grid point N, from moments.centered_moments.
+
+    The CLI calls this before run_replicas, so moments beyond float64 are
+    refused before any replica is sampled.
+    """
+    return {N: moments.centered_moments(N, config.c_of(N), config.d) for N in config.n_grid}
+
+
+def chebyshev_bound(N: int, exact: tuple[float, float], eps_prob: float) -> float:
+    """Union Chebyshev bound on P(|msd/N - 1| > eps_prob) from the exact
+    moments exact = (var Z, var K) at N.
 
     If |K/N - 1| and |Z - 1| are both <= delta = eps_prob/(2 + eps_prob) then
     msd/N lies within eps_prob of 1, so the probability is at most
     (var K / N^2 + var Z) / delta^2, capped at 1.
     """
-    var_z, var_k = moments.centered_moments(N, c, d)
+    var_z, var_k = exact
     delta = eps_prob / (2.0 + eps_prob)
     return min(1.0, (var_k / (float(N) * N) + var_z) / (delta * delta))
 
 
-def concentration_report(results, eps_prob: float) -> list[SummaryStats]:
-    """Empirical exceedance of |msd/N - 1| per grid point vs the oracle bound.
+def concentration_report(results, exact: dict, eps_prob: float) -> list[SummaryStats]:
+    """Empirical exceedance of |msd/N - 1| per grid point vs the Chebyshev
+    bound from exact (exact_moments of the run).
 
     beats_bound flags an empirical exceedance above the exact Chebyshev bound
     by more than 3 binomial standard errors, which would indicate a harness
@@ -219,7 +236,7 @@ def concentration_report(results, eps_prob: float) -> list[SummaryStats]:
         zs = np.array([r.Z for r in group])
         count = len(group)
         p_hat = float(np.mean(np.abs(ratios - 1.0) > eps_prob))
-        bound = chebyshev_bound(N, c, d, eps_prob)
+        bound = chebyshev_bound(N, exact[N], eps_prob)
         se = stats.binomial_se(p_hat, count)
         rows.append(
             SummaryStats(
@@ -270,11 +287,14 @@ def _sample_metrics(values: np.ndarray, sigma2_target: float | None) -> dict:
     return out
 
 
-def normality_report(results, rule: fluctuation.ScalingRule) -> list[SummaryStats]:
+def normality_report(
+    results, exact: dict, rule: fluctuation.ScalingRule
+) -> list[SummaryStats]:
     """Distribution diagnostics of a_N (Z - 1), its linear part and remainder.
 
-    Targets come from the exact oracles: a^2 var Z for the centered partition
-    sum, the epsilon-free limit variance for the linear part, and the
+    Targets come from the exact moments: a^2 var Z for the centered
+    partition sum, with var Z read from exact (exact_moments of the run),
+    the epsilon-free limit variance for the linear part, and the
     orthogonality identity for the remainder.  Degenerate samples (c = 0)
     are flagged rather than crashed on.
     """
@@ -290,7 +310,7 @@ def normality_report(results, rule: fluctuation.ScalingRule) -> list[SummaryStat
             row.degenerate = True
             rows.append(row)
             continue
-        var_z_exact = moments.ez2_renewal(N, c, d) - 1.0
+        var_z_exact = exact[N][0]
         lin_var = fluctuation.linear_variance_exact(N, c, d)
         # The value of fluctuation.remainder_variance_exact, from the E Z^2
         # already in hand.

@@ -36,6 +36,10 @@ Every quantity here is computed by at least two genuinely different routes:
 
 The routes share no intermediate code beyond the packed layer stencil, which
 is the point: their agreement is the correctness argument.
+
+Each CLI path computes its exact moments once per grid point: `simulate` and
+`concentration` through centered_moments (in harness.exact_moments, before
+any replica is sampled), and `oracle` through calibrate.
 """
 
 from __future__ import annotations
@@ -327,33 +331,12 @@ def centered_moments(N: int, c: float, d: int) -> tuple[float, float]:
     """(var Z, var K) = (E Z^2 - 1, E K^2 - N^2) from the exact oracles.
 
     var Z uses the O(N^2) collision-time renewal, var K the collision
-    expansion.  The test suite cross-checks both against the pair DPs and
-    enumeration wherever those run.
+    expansion.  harness.exact_moments calls this once per grid point; the
+    reports read its values.  The test suite cross-checks both against the
+    pair DPs and enumeration wherever those run.
     """
     var_z = ez2_renewal(N, c, d) - 1.0
     return var_z, ek2_expansion(N, c, d).total - float(N) * N
-
-
-@dataclass(frozen=True)
-class CalibrationRow:
-    """Smallest geometric-domination constants at one grid point.
-
-    s is the disorder-collision scale (c^2 sqrt(N) for d = 1, c^2 log N for
-    d = 2).  a_total_* is the smallest A with the full moment dominated by
-    sum_n (A s)^n (times N^2 for K^2); a_order_* is the smallest A with every
-    per-order term T_n <= (A s)^n individually.
-    """
-
-    d: int
-    N: int
-    c: float
-    s: float
-    ez2: float
-    ek2: float
-    a_total_z2: float
-    a_order_z2: float
-    a_total_k2: float
-    a_order_k2: float
 
 
 def _smallest_dominating_a(total: float, s: float, N: int, scale: float) -> float:
@@ -368,6 +351,9 @@ def _smallest_dominating_a(total: float, s: float, N: int, scale: float) -> floa
         p = 1.0
         for _ in range(terms):
             p *= g
+            if g <= 1.0 and acc + p == acc:
+                # Later terms are no larger, so acc can no longer change.
+                break
             acc += p
             if acc * scale >= total or not np.isfinite(acc):
                 return True
@@ -397,37 +383,46 @@ def _per_order_a(orders: np.ndarray, s: float, scale: float) -> float:
     return best
 
 
-def bound_calibration(d: int, n_grid, rule) -> list[CalibrationRow]:
-    """Measure the geometric-domination constants along a grid.
+@dataclass(frozen=True)
+class Calibration:
+    """Both collision expansions at one (N, c, d) and their smallest
+    geometric-domination constants: everything an `oracle` row prints.
 
-    `rule` is any object with c_of(N) (a ScalingRule fits); the collision
-    scale s = c^2 sqrt(N) resp. c^2 log N must stay below 1/A for the
-    geometric series to close, which is what the returned constants verify.
+    s is the disorder-collision scale (c^2 sqrt(N) for d = 1, c^2 log N for
+    d = 2).  a_total_* is the smallest A with the full moment dominated by
+    sum_n (A s)^n (times N^2 for K^2); a_order_* is the smallest A with every
+    per-order term T_n <= (A s)^n individually.  s * a_order_* < 1 means the
+    geometric series closes.  At s = 0 (c = 0, or d = 2 at N = 1) all four
+    constants are 0.
     """
+
+    z2: CollisionExpansion
+    k2: CollisionExpansion
+    s: float
+    a_total_z2: float
+    a_order_z2: float
+    a_total_k2: float
+    a_order_k2: float
+
+
+def calibrate(N: int, c: float, d: int) -> Calibration:
+    """One collision-expansion pass and the domination constants of its orders."""
     from .fluctuation import collision_scale  # fluctuation imports this module
 
-    rows = []
-    for N in n_grid:
-        c = rule.c_of(N)
-        s = c * c * collision_scale(d, N)
-        ez, ek = collision_expansions(N, c, d)
-        ez2 = ez.total
-        ek2 = ek.total
-        rows.append(
-            CalibrationRow(
-                d=d,
-                N=N,
-                c=c,
-                s=s,
-                ez2=ez2,
-                ek2=ek2,
-                a_total_z2=_smallest_dominating_a(ez2, s, N, 1.0),
-                a_order_z2=_per_order_a(ez.orders, s, 1.0),
-                a_total_k2=_smallest_dominating_a(ek2, s, N, float(N) * N),
-                a_order_k2=_per_order_a(ek.orders, s, float(N) * N),
-            )
-        )
-    return rows
+    ez, ek = collision_expansions(N, c, d)
+    s = c * c * collision_scale(d, N)
+    if s == 0.0:
+        return Calibration(ez, ek, s, 0.0, 0.0, 0.0, 0.0)
+    n2 = float(N) * N
+    return Calibration(
+        z2=ez,
+        k2=ek,
+        s=s,
+        a_total_z2=_smallest_dominating_a(ez.total, s, N, 1.0),
+        a_order_z2=_per_order_a(ez.orders, s, 1.0),
+        a_total_k2=_smallest_dominating_a(ek.total, s, N, n2),
+        a_order_k2=_per_order_a(ek.orders, s, n2),
+    )
 
 
 def pair_enumeration_moments(N: int, c: float, d: int) -> tuple[float, float]:

@@ -1,14 +1,23 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
 from polymer_lab import cli, fluctuation, harness, moments, walk
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
 def run_cli(argv, capsys):
     code = cli.parse_and_dispatch(argv)
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def no_sampling(*args):
+    raise AssertionError("a replica ran before the run was refused")
 
 
 def test_oracle_frozen_value(capsys):
@@ -46,6 +55,20 @@ def test_moments_table(capsys):
     for row in rows:
         assert row["second"] == pytest.approx(row["second_closed_form"], rel=1e-12)
         assert row["fourth"] == pytest.approx(row["fourth_closed_form"], rel=1e-12)
+
+
+def test_oracle_keys(capsys):
+    code, out, err = run_cli(
+        ["oracle", "--dim", "2", "--N", "1", "--N", "16", "--c", "0.3"], capsys
+    )
+    assert code == 0, err
+    rows = json.loads(out)["rows"]
+    assert [r["N"] for r in rows] == [1, 16]
+    for row in rows:
+        assert set(row) == {
+            "d", "N", "c", "ez2", "ek2", "var_Z", "var_K", "per_order_terms",
+            "k2_order_terms", "s", "calibrated_A", "a_order_z2", "a_total_k2", "a_order_k2",
+        }
 
 
 def test_clt_keys(capsys):
@@ -114,9 +137,6 @@ def test_concentration_subcommand(capsys):
 
 @pytest.mark.parametrize("dim,n,cap", [("1", "5000", 4096), ("2", "5000", 4096)])
 def test_simulate_refuses_n_above_moment_cap(dim, n, cap, capsys, monkeypatch):
-    def no_sampling(*args):
-        raise AssertionError("a replica ran before the N cap was checked")
-
     monkeypatch.setattr(harness, "simulate_replica", no_sampling)
     code, out, err = run_cli(
         ["simulate", "--dim", dim, "--N", "64", "--N", n, "--eps", "0.25", "--replicas", "2"],
@@ -132,7 +152,7 @@ def test_oracle_refuses_n_above_moment_cap(dim, capsys, monkeypatch):
     def no_expansion(*args):
         raise AssertionError("an oracle row ran before the N cap was checked")
 
-    monkeypatch.setattr(moments, "ez2_expansion", no_expansion)
+    monkeypatch.setattr(moments, "calibrate", no_expansion)
     cap = moments.EXPANSION_MAX_N[int(dim)]
     code, out, err = run_cli(
         ["oracle", "--dim", dim, "--N", "64", "--N", str(cap + 1), "--eps", "0.05"], capsys
@@ -140,6 +160,63 @@ def test_oracle_refuses_n_above_moment_cap(dim, capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert f"N <= {cap}" in err and "--N" in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "concentration"])
+@pytest.mark.parametrize(
+    "argv,needle",
+    [
+        (["--dim", "1", "--N", "4096", "--c", "0.95", "--replicas", "2", "--eps", "0.25"],
+         "float64"),
+        (["--dim", "2", "--N", "1", "--N", "128", "--c", "0.3", "--replicas", "20"], "--N >= 2"),
+    ],
+)
+def test_refusals_come_before_sampling(command, argv, needle, capsys, monkeypatch):
+    monkeypatch.setattr(harness, "simulate_replica", no_sampling)
+    code, out, err = run_cli([command, *argv], capsys)
+    assert code == 2
+    assert out == ""
+    assert needle in err and "--N" in err
+
+
+def test_zero_disorder_runs_at_n1_in_d2(capsys):
+    code, out, err = run_cli(
+        ["simulate", "--dim", "2", "--N", "1", "--N", "4", "--c", "0", "--replicas", "2"], capsys
+    )
+    assert code == 0, err
+    assert json.loads("{" + out.split("{", 1)[1])["normality"][0]["degenerate"]
+
+
+@pytest.mark.parametrize("command", ["simulate", "concentration"])
+def test_one_exact_moment_pass_per_grid_point(command, capsys, monkeypatch):
+    # Each grid point's E Z^2 and E K^2 are computed once, before any replica.
+    calls = []
+    for name in ("ez2_renewal", "collision_expansions"):
+        real = getattr(moments, name)
+
+        def counted(N, c, d, _real=real, _name=name):
+            calls.append((_name, N))
+            return _real(N, c, d)
+
+        monkeypatch.setattr(moments, name, counted)
+    sample = harness.simulate_replica
+
+    def recorded(d, N, c, jobs):
+        calls.append(("replica", N))
+        return sample(d, N, c, jobs)
+
+    monkeypatch.setattr(harness, "simulate_replica", recorded)
+    code, _, err = run_cli(
+        [command, "--dim", "1", "--N", "16", "--N", "64", "--eps", "0.25",
+         "--replicas", "3", "--seed", "2"],
+        capsys,
+    )
+    assert code == 0, err
+    assert sorted(calls[:4]) == [
+        ("collision_expansions", 16), ("collision_expansions", 64),
+        ("ez2_renewal", 16), ("ez2_renewal", 64),
+    ]
+    assert calls[4:] == [("replica", 16), ("replica", 64)]
 
 
 def test_cli_paths_do_not_need_the_pairwalk_dp(capsys, monkeypatch):
@@ -154,7 +231,9 @@ def test_cli_paths_do_not_need_the_pairwalk_dp(capsys, monkeypatch):
     moments.centered_moments(16, 0.3, 1)
     fluctuation.remainder_variance_exact(64, 0.3, 2)
     config = harness.ExperimentConfig(d=2, eps=0.25, n_grid=(8, 16), replicas=3, master_seed=1)
-    rows = harness.normality_report(harness.run_replicas(config), config.rule())
+    rows = harness.normality_report(
+        harness.run_replicas(config), harness.exact_moments(config), config.rule()
+    )
     assert all(r.var_Z_exact > 0.0 for r in rows)
     code, _, err = run_cli(["oracle", "--dim", "2", "--N", "64", "--N", "256", "--eps", "0.25"], capsys)
     assert code == 0, err
@@ -274,3 +353,31 @@ def test_installed_entry_point_help(polymer_lab_cli):
     assert proc.returncode == 0, proc.stderr
     for sub in ("kernel-check", "moments", "oracle", "simulate", "clt", "concentration"):
         assert sub in proc.stdout
+
+
+def _readme_cli_examples() -> list[list[str]]:
+    """argv of every `polymer-lab ...` example in README's CLI section, with
+    backslash continuations joined."""
+    section = README.read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    examples = []
+    lines = iter(section.splitlines())
+    for line in lines:
+        cmd = line.strip()
+        if not cmd.startswith("polymer-lab "):
+            continue
+        while cmd.endswith("\\"):
+            cmd = cmd[:-1] + " " + next(lines).strip()
+        examples.append(shlex.split(cmd)[1:])
+    return examples
+
+
+def test_readme_cli_examples_parse():
+    # Parse only: a documented flag or subcommand the parser lacks fails here.
+    examples = _readme_cli_examples()
+    assert {argv[0] for argv in examples} == set(cli._COMMANDS)
+    parser = cli._parser()
+    for argv in examples:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README example does not parse: polymer-lab {shlex.join(argv)}")

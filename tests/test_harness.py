@@ -28,6 +28,14 @@ def test_config_validation():
         harness.ExperimentConfig(**{**good, "eps": 0.0})
     with pytest.raises(ValueError):  # d=2 scaling needs N >= 2
         harness.ExperimentConfig(d=2, eps=0.25, n_grid=(1, 4), replicas=2, master_seed=0)
+    # a_N is needed wherever c > 0, also under a c override; c = 0 needs none.
+    with pytest.raises(ValueError, match="--N >= 2"):
+        harness.ExperimentConfig(
+            d=2, eps=0.25, n_grid=(1, 4), replicas=2, master_seed=0, c_override=0.3
+        )
+    harness.ExperimentConfig(
+        d=2, eps=0.25, n_grid=(1, 4), replicas=2, master_seed=0, c_override=0.0
+    )
     for d, cap in moments.EXPANSION_MAX_N.items():
         harness.ExperimentConfig(d=d, eps=0.25, n_grid=(cap,), replicas=1, master_seed=0)
         with pytest.raises(ValueError, match=f"N <= {cap}"):
@@ -111,36 +119,37 @@ def test_zero_disorder_replicas():
         assert r.Z == pytest.approx(1.0, abs=1e-14)
         assert r.msd == pytest.approx(6.0, rel=1e-14)
         assert r.linear == 0.0
-    conc = harness.concentration_report(rs, 0.05)
+    exact = harness.exact_moments(config)
+    conc = harness.concentration_report(rs, exact, 0.05)
     assert conc[0].exceedance == 0.0
-    norm = harness.normality_report(rs, config.rule())
+    norm = harness.normality_report(rs, exact, config.rule())
     assert norm[0].degenerate
 
 
 def test_single_replica_exceedance_is_zero_or_one():
     config = harness.ExperimentConfig(d=1, eps=0.25, n_grid=(8,), replicas=1, master_seed=3)
     rs = harness.run_replicas(config)
-    conc = harness.concentration_report(rs, 0.1)
+    conc = harness.concentration_report(rs, harness.exact_moments(config), 0.1)
     assert conc[0].exceedance in (0.0, 1.0)
 
 
 def test_chebyshev_bound_cap_and_formula():
-    assert harness.chebyshev_bound(64, 0.4, 1, 0.1) == 1.0
-    b = harness.chebyshev_bound(16, 0.01, 1, 0.5)
+    assert harness.chebyshev_bound(64, moments.centered_moments(64, 0.4, 1), 0.1) == 1.0
+    b = harness.chebyshev_bound(16, moments.centered_moments(16, 0.01, 1), 0.5)
     var_z, var_k = moments.centered_moments(16, 0.01, 1)
     delta = 0.5 / 2.5
     assert b == pytest.approx((var_k / 256.0 + var_z) / delta ** 2, rel=1e-12)
     assert b < 1.0
     with pytest.raises(ValueError):
-        harness.concentration_report([], 0.0)
+        harness.concentration_report([], {}, 0.0)
     with pytest.raises(ValueError):
-        harness.concentration_report([], 0.5)  # empty input
+        harness.concentration_report([], {}, 0.5)  # empty input
 
 
 def test_concentration_groups_and_se():
     config = harness.ExperimentConfig(d=1, eps=0.25, n_grid=(8, 16), replicas=25, master_seed=2)
     rs = harness.run_replicas(config)
-    rows = harness.concentration_report(rs, 0.2)
+    rows = harness.concentration_report(rs, harness.exact_moments(config), 0.2)
     assert [row.N for row in rows] == [8, 16]
     for row in rows:
         assert row.count == 25
@@ -153,7 +162,7 @@ def test_concentration_groups_and_se():
 def test_normality_report_targets():
     config = harness.ExperimentConfig(d=1, eps=0.25, n_grid=(16,), replicas=200, master_seed=8)
     rs = harness.run_replicas(config)
-    row = harness.normality_report(rs, config.rule())[0]
+    row = harness.normality_report(rs, harness.exact_moments(config), config.rule())[0]
     c = config.c_of(16)
     a = config.rule().a_of(16, c)
     assert row.a == pytest.approx(a, rel=1e-14)
@@ -176,7 +185,7 @@ def test_normality_rule_mismatch():
     config = harness.ExperimentConfig(d=1, eps=0.25, n_grid=(8,), replicas=3, master_seed=1)
     rs = harness.run_replicas(config)
     with pytest.raises(ValueError):
-        harness.normality_report(rs, fluctuation.scaling(2, 0.25))
+        harness.normality_report(rs, harness.exact_moments(config), fluctuation.scaling(2, 0.25))
 
 
 def test_write_csv_round_trip():

@@ -193,8 +193,8 @@ def test_monotone_in_c():
 
 def test_bound_calibration_geometric_domination():
     rule = fluctuation.scaling(1, 0.05)
-    rows = moments.bound_calibration(1, (16, 64), rule)
-    for r in rows:
+    for n in (16, 64):
+        r = moments.calibrate(n, rule.c_of(n), 1)
         # the series closes: per-order constants keep s*A below 1
         assert 0.0 < r.s < 1.0
         assert r.s * r.a_order_z2 < 1.0
@@ -202,6 +202,85 @@ def test_bound_calibration_geometric_domination():
         # total-domination constants are no larger than per-order ones
         assert r.a_total_z2 <= r.a_order_z2 + 1e-12
         assert r.a_total_k2 <= r.a_order_k2 + 1e-12
+
+
+@pytest.mark.parametrize("d,n,c", [(2, 1, 0.3), (1, 3, 0.0), (2, 16, 0.0)])
+def test_calibrate_at_zero_scale(d, n, c):
+    # s = c^2 log 1 = 0 at d = 2, N = 1, and s = 0 at c = 0: nothing to dominate.
+    r = moments.calibrate(n, c, d)
+    assert r.s == 0.0
+    assert (r.a_total_z2, r.a_order_z2, r.a_total_k2, r.a_order_k2) == (0.0,) * 4
+    assert r.z2.total == moments.ez2_expansion(n, c, d).total
+
+
+def _smallest_dominating_a_full_loop(total, s, N, scale):
+    """The bisection with every term up to min(N, 4096) summed: the reference
+    for the early exit in moments._smallest_dominating_a."""
+    if total <= scale:
+        return 0.0
+    terms = min(N, 4096)
+
+    def dominated(a):
+        g = a * s
+        acc = 1.0
+        p = 1.0
+        for _ in range(terms):
+            p *= g
+            acc += p
+            if acc * scale >= total or not np.isfinite(acc):
+                return True
+        return acc * scale >= total
+
+    hi = 1.0
+    while not dominated(hi):
+        hi *= 2.0
+        if hi > 1e12:
+            raise ArithmeticError("domination constant diverged")
+    lo = 0.0
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if dominated(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _expansion_case(n, c, d, kind):
+    cal = moments.calibrate(n, c, d)
+    if kind == "z2":
+        return cal.z2.total, cal.s, n, 1.0
+    return cal.k2.total, cal.s, n, float(n) * n
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        (1.5, 0.4, 64, 1.0),  # g < 1 at the answer
+        (1e6, 0.5, 40, 1.0),  # the answer needs g = A s > 1
+        (50.0, 0.9, 3, 2.0),  # three terms, g > 1
+        (1.0 + 1e-12, 0.43, 4096, 1.0),  # tiny excess: a long run of terms
+        (1.2, 0.3, 10000, 1.0),  # N > 4096: terms capped at 4096
+        (1.0, 0.3, 16, 1.0),  # total <= scale
+        (0.5, 0.0, 16, 1.0),  # s = 0, total <= scale
+        ("z2", 4096, 4096 ** -0.3, 1),
+        ("k2", 4096, 4096 ** -0.3, 1),
+        ("z2", 512, math.log(512) ** -0.75, 2),
+        ("k2", 512, math.log(512) ** -0.75, 2),
+        ("z2", 64, 0.6, 1),
+    ],
+)
+def test_dominating_a_early_exit_matches_full_loop(case):
+    if isinstance(case[0], str):
+        kind, n, c, d = case
+        case = _expansion_case(n, c, d, kind)
+    assert moments._smallest_dominating_a(*case) == _smallest_dominating_a_full_loop(*case)
+
+
+def test_dominating_a_diverges_alike_at_zero_scale():
+    for route in (moments._smallest_dominating_a, _smallest_dominating_a_full_loop):
+        with pytest.raises(ArithmeticError):
+            route(1.5, 0.0, 16, 1.0)
 
 
 def test_arg_validation():
