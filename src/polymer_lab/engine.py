@@ -9,14 +9,20 @@ carried on the packed parity slices from the walk module with two rolling
 layers.  Everything is plain float64; with 0 <= c < 1 every weight factor is
 positive, so no log-domain bookkeeping is needed, only an overflow guard.
 
-evolve_replicas is the only implementation of the recursion.  It advances
-several environments in lockstep, one layer each, next to one shared rolling
-free-walk layer p0(n, .); every slice of signs is hashed once and used both
-for the weight multiply and for the order-one chaos term
-f_n = c sum_x h(n, x) p0(n, x) of Z - 1.  Each replica's sums and dot
-products are the same operations on the same arrays as a single-replica
-pass, so batching does not change a bit.  evolve_density is the pass over
-one environment.
+evolve_replicas is the only implementation of the recursion.  It cuts its
+environments into row blocks and advances each block in lockstep as one
+stack of layers, next to one rolling free-walk layer p0(n, .).  Per step, a
+block's slices of signs are hashed in one pass (SignHasher), and the
+stencil step and the weight multiply each run once over the whole stack;
+both are elementwise, so every row gets the bits a single layer would.  The
+signs serve both the weight multiply and the order-one chaos term
+f_n = c sum_x h(n, x) p0(n, x) of Z - 1.  Each replica's layer sum
+(overflow guard) and dot product stay per-row calls on contiguous rows, the
+same operations on the same values as a single-replica pass, so the stack
+does not change a bit.  A block's working arrays live in buffers allocated
+once per block and sized by _BLOCK_BYTES, so the memory of a pass beyond
+its result layers does not grow with the number of environments.
+evolve_density is the pass over one environment.
 
 brute_force_observables enumerates all (2d)^N paths directly and is the
 independent check for the recursion on small N.
@@ -24,17 +30,22 @@ independent check for the recursion on small N.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import walk
+from .environment import EnvironmentField, SignHasher
 
 # Abort threshold for the running layer sum (overflow guard).
 DENSITY_SUM_LIMIT = 1e300
 # Path enumeration cap: (2d)^N <= 2^24.
 MAX_BRUTE_PATHS = 1 << 24
 _PATH_CHUNK = 1 << 16
+# evolve_replicas runs its environments in row blocks whose stacked per-step
+# arrays hold at most this many bytes each (one layer if a layer is larger).
+_BLOCK_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -77,22 +88,57 @@ def evolve_replicas(envs, c: float, N: int) -> list[DensityLayer]:
         if env.d != d:
             raise ValueError("environments differ in dimension")
         _check_run_args(env, c, N)
-    p0 = np.ones((1,) if d == 1 else (1, 1))
-    lays = [p0] * len(envs)
-    comps = [np.empty(N) for _ in envs]
+    rows = max(1, _BLOCK_BYTES // (8 * (N + 1) ** d))
+    out = []
+    for lo in range(0, len(envs), rows):
+        out += _evolve_block(envs[lo : lo + rows], c, N)
+    return out
+
+
+def _evolve_block(envs, c: float, N: int) -> list[DensityLayer]:
+    """evolve_replicas on one row block, its layers stacked on a leading axis.
+
+    The working arrays are flat buffers sized for time N, allocated once;
+    step n reads a contiguous prefix of each as a stack of (n+1)^d slices.
+    A block of EnvironmentFields is hashed by one SignHasher; any other
+    environment fills its row from its own slice_signs.
+    """
+    d = envs[0].d
+    count = len(envs)
+    if all(isinstance(env, EnvironmentField) for env in envs):
+        hasher = SignHasher([env.seed for env in envs], d, N)
+    else:
+        hasher = None
+    size = (N + 1) ** d
+    free_bufs = (np.empty(size), np.empty(size))
+    layer_bufs = (np.empty(count * size), np.empty(count * size))
+    sign_buf = np.empty(count * size)
+    weight_buf = np.empty(count * size)
+    p0 = np.ones((1,) * d)
+    lays = np.ones((count,) + p0.shape)
+    comps = np.empty((count, N))
     for n in range(1, N + 1):
-        p0 = walk.step_layer(p0, d)
-        for i, env in enumerate(envs):
-            signs = env.slice_signs(n)
-            lay = walk.step_layer(lays[i], d)
-            lay *= 1.0 + c * signs
-            s = float(lay.sum())
-            if not np.isfinite(s) or s > DENSITY_SUM_LIMIT:
+        m = (n + 1) ** d
+        shape = (count,) + (n + 1,) * d
+        p0 = walk.step_layer(p0, d, out=free_bufs[n % 2][:m].reshape(shape[1:]))
+        lays = walk.step_layer(lays, d, out=layer_bufs[n % 2][: count * m].reshape(shape))
+        signs = sign_buf[: count * m].reshape(shape)
+        if hasher is not None:
+            hasher(n, out=signs)
+        else:
+            for i, env in enumerate(envs):
+                signs[i] = env.slice_signs(n)
+        weights = np.multiply(signs, c, out=weight_buf[: count * m].reshape(shape))
+        weights += 1.0
+        lays *= weights
+        # Flat contiguous rows: the same sum and dot as on a lone layer.
+        flat_p0 = p0.reshape(m)
+        for i, (row, sign_row) in enumerate(zip(lays.reshape(count, m), signs.reshape(count, m))):
+            s = float(row.sum())
+            if not math.isfinite(s) or s > DENSITY_SUM_LIMIT:
                 raise OverflowError(f"density sum {s} exceeded {DENSITY_SUM_LIMIT} at step {n}")
-            comps[i][n - 1] = c * float(np.dot(p0.ravel(), signs.ravel()))
-            lays[i] = lay
-    for lay in lays:
-        lay.flags.writeable = False
+            comps[i, n - 1] = c * float(flat_p0.dot(sign_row))
+    lays.flags.writeable = False
     return [
         DensityLayer(d=d, n=N, values=lay, linear=float(np.sum(comp)))
         for lay, comp in zip(lays, comps)

@@ -6,6 +6,15 @@ chain and the sign is the top bit of the final state.  No generator state is
 ever advanced, so lookups are order independent, thread safe and reproducible
 across platforms; two replicas differ only through their seeds.
 
+So a time slice of many fields can be hashed in one vector pass (the
+counter-based generators of Salmon et al., "Parallel random numbers: as
+easy as 1, 2, 3", SC'11).
+SignHasher does that for the sampler's row blocks at one finalize per site;
+in d = 2 the first site word takes only 2n + 1 values per slice, so it is
+finalized once per field and broadcast through a Hankel view.
+EnvironmentField.slice_signs is the one-field case of the same routine, and
+EnvironmentField.value the independent scalar route.
+
 Replica seed derivation is part of the on-disk contract: CSV outputs record
 per-replica seeds, and re-running any single replica from its recorded seed
 must reproduce its row.  The chain below is therefore frozen (see
@@ -17,13 +26,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .walk import as_point, slice_positions
+from .walk import as_point
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
+# Bit pattern of the float64 1.0.
+_ONE_BITS = 0x3FF0000000000000
 # Domain separation word for replica seed derivation.
 _REPLICA_DOMAIN = 0x7265706C69636173
 
@@ -58,11 +70,18 @@ def _finalize_vec(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _absorb_vec(state, words: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        z = words.astype(np.int64).astype(np.uint64)
-        z += np.uint64((int(state) + _GOLDEN) & _MASK)
-        return _finalize_vec(z)
+def _finalize_sign_bit(z: np.ndarray, tmp: np.ndarray) -> None:
+    """_finalize_vec in place, up to its last step.
+
+    The last step, z ^= z >> 31, leaves bit 63 as it is, and the sign reads
+    only bit 63, so it is skipped.  tmp is a buffer of z's shape.
+    """
+    np.right_shift(z, np.uint64(30), out=tmp)
+    z ^= tmp
+    z *= np.uint64(_MIX_A)
+    np.right_shift(z, np.uint64(27), out=tmp)
+    z ^= tmp
+    z *= np.uint64(_MIX_B)
 
 
 def derive_replica_seed(master_seed: int, grid_index: int, replica_index: int) -> int:
@@ -93,6 +112,86 @@ def _check_site(d: int, horizon: int, n: int, pt: tuple[int, ...]) -> None:
         raise ValueError(f"site {pt} violates parity at time {n}")
 
 
+def _stacked_signs(
+    states: np.ndarray, words: np.ndarray, d: int, n: int, z: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """+/-1.0 slices at time n of R fields, stacked on a leading axis.
+
+    states is a uint64 (R, 1) array of hash_words(seed, n) + _GOLDEN (the
+    state after absorbing n, plus the _GOLDEN of the next absorb), and words
+    the uint64 (2n+1)-array of k - n, k = 0..2n (_centered_words).  z
+    (uint64) and out (float64) have the stacked shape (R, n+1) or
+    (R, n+1, n+1); z receives the hash words, and out is the finalizer's
+    scratch space until it receives the signs.  Each site costs one add and
+    one finalize:
+
+    - d = 1: the word x = 2j - n of every site is added to the state of each
+      field, then finalized.
+    - d = 2: the first word x1 = i + j - n takes only 2n + 1 values, so
+      those are finalized once per field and read through a Hankel view
+      (entry (i, j) is element i + j).  The second word x2 = i - j, plus
+      _GOLDEN, is a Toeplitz view of one (2n+1)-array shared by all fields.
+      Their sum is finalized once per site.
+    """
+    if d == 1:
+        np.add(states, words[::2], out=z)
+    else:
+        first = _finalize_vec(states + words)
+        second = words + np.uint64(_GOLDEN)
+        hankel = sliding_window_view(first, n + 1, axis=1)
+        toeplitz = sliding_window_view(second[::-1], n + 1)[::-1]
+        np.add(hankel, toeplitz, out=z)
+    bits = out.view(np.uint64)
+    _finalize_sign_bit(z, bits)
+    # Bit 63 of z becomes the sign bit of 1.0: set means -1.0.
+    np.bitwise_and(z, np.uint64(1 << 63), out=bits)
+    bits |= np.uint64(_ONE_BITS)
+    return out
+
+
+def _centered_words(n: int) -> np.ndarray:
+    """The words -n, ..., n as uint64 (two's complement)."""
+    return np.arange(-n, n + 1, dtype=np.int64).view(np.uint64)
+
+
+class SignHasher:
+    """Signs of one time slice of several fields, hashed in one vector pass.
+
+    Built for the seeds of R fields in dimension d up to time horizon; a call
+    with time n returns the packed slices of all R fields stacked on a
+    leading axis, shape (R, n+1) or (R, n+1, n+1), bit for bit the signs of
+    EnvironmentField.value (see _stacked_signs).  The per-time states and
+    the uint64 hash-word buffer, sized for the slices at the horizon, are
+    made once, so a pass over many times allocates nothing per slice
+    beyond its output when out is not given.
+    """
+
+    def __init__(self, seeds, d: int, horizon: int) -> None:
+        if d not in (1, 2):
+            raise ValueError(f"dimension must be 1 or 2, got {d!r}")
+        self.d = d
+        self.horizon = horizon
+        # Row n-1 holds hash_words(seed, n) + _GOLDEN for each field.
+        seed_states = np.array(
+            [(_finalize(seed + _GOLDEN) + _GOLDEN) & _MASK for seed in seeds], dtype=np.uint64
+        )
+        times = np.arange(1, horizon + 1, dtype=np.uint64)
+        self._states = _finalize_vec(times[:, None] + seed_states)
+        self._states += np.uint64(_GOLDEN)
+        self._words = _centered_words(horizon)
+        self._z = np.empty(len(seed_states) * cone_slice_size(d, horizon), dtype=np.uint64)
+
+    def __call__(self, n: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Stacked +/-1.0 slices at time n, written into out if given."""
+        if not 1 <= n <= self.horizon:
+            raise ValueError(f"time {n} outside environment horizon [1, {self.horizon}]")
+        states = self._states[n - 1, :, None]
+        shape = states.shape[:1] + (n + 1,) * self.d
+        z = self._z[: states.shape[0] * cone_slice_size(self.d, n)].reshape(shape)
+        words = self._words[self.horizon - n : self.horizon + n + 1]
+        return _stacked_signs(states, words, self.d, n, z, np.empty(shape) if out is None else out)
+
+
 @dataclass(frozen=True)
 class EnvironmentField:
     """Deterministic +/-1 field over the light cone, keyed by a 64-bit seed."""
@@ -118,21 +217,15 @@ class EnvironmentField:
         """Packed +/-1.0 float array over the parity slice at time n.
 
         Layout matches TransitionKernel layers (see walk module docstring).
+        This is the one-field case of the stacked hash SignHasher runs.
         """
         if not 1 <= n <= self.horizon:
             raise ValueError(f"time {n} outside environment horizon [1, {self.horizon}]")
-        state = hash_words(self.seed, n)
-        if self.d == 1:
-            (xs,) = slice_positions(1, n)
-            z = _absorb_vec(state, xs)
-        else:
-            x1, x2 = slice_positions(2, n)
-            z = _absorb_vec(state, x1)
-            with np.errstate(over="ignore"):
-                z += x2.astype(np.int64).astype(np.uint64)
-                z += np.uint64(_GOLDEN)
-                z = _finalize_vec(z)
-        return 1.0 - 2.0 * (z >> np.uint64(63)).astype(np.float64)
+        state = (hash_words(self.seed, n) + _GOLDEN) & _MASK
+        shape = (1,) + (n + 1,) * self.d
+        z = np.empty(shape, dtype=np.uint64)
+        states = np.array([[state]], dtype=np.uint64)
+        return _stacked_signs(states, _centered_words(n), self.d, n, z, np.empty(shape))[0]
 
     def sign_stream(self, count: int) -> np.ndarray:
         """First `count` signs in canonical cone order (slices ascending,

@@ -25,6 +25,7 @@ is the independent reference the tests compare the recursion against.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,7 +74,14 @@ class ScalingRule:
             c = self.c_of(N)
         if not c > 0.0:
             raise ValueError("normalizer undefined at c = 0")
-        return (c * c * collision_scale(self.d, N)) ** -0.5
+        s = c * c * collision_scale(self.d, N)
+        # Below the smallest normal float, 1/s overflows or s is 0.
+        if not s >= sys.float_info.min:
+            raise ValueError(
+                f"c = {c!r} is too small: c^2 times the collision scale at N = {N} "
+                f"underflows float64; choose a larger --c"
+            )
+        return s ** -0.5
 
     def _check_n(self, N: int) -> None:
         if self.d == 2 and N < 2:

@@ -5,10 +5,13 @@ derived seeds.  run_replicas cuts each grid point's replicas into tasks of
 consecutive replicas, runs every task through one lockstep pass of
 engine.evolve_replicas (which yields Z, K and the linear term together), and
 reassembles the results in replica order; a task's size depends only on the
-worker count and on a fixed memory budget for its layers.  Every replica's
-numbers come from the same operations whatever task it lands in, so output
-bytes are identical for any worker count.  No transition kernel is built:
-the linear term reads the pass's rolling free-walk layer.
+worker count and on a fixed memory budget for its layers.  The pass hashes,
+steps and weights each time slice of a row block of the task's replicas as
+one stacked array, and its working buffers are sized per row block, not per
+task.  Every replica's numbers come from the same operations whatever task
+or block it lands in, so output bytes are identical for any worker count.
+No transition kernel is built: the linear term reads the pass's rolling
+free-walk layer.
 
 The exact moments a run's reports compare against come from exact_moments,
 once per grid point; the CLI calls it before it samples any replica.  The

@@ -32,26 +32,42 @@ def _check_dim(d: int) -> None:
         raise ValueError(f"dimension must be 1 or 2, got {d!r}")
 
 
-def step_layer(layer: np.ndarray, d: int) -> np.ndarray:
+def _pair_sums(layer: np.ndarray, out: np.ndarray) -> None:
+    """out[..., j] = layer[..., j] + layer[..., j-1] along the last axis,
+    with a missing neighbour read as 0.0; out is one longer there."""
+    np.add(layer[..., 1:], layer[..., :-1], out=out[..., 1:-1])
+    out[..., 0] = layer[..., 0]
+    out[..., -1] = layer[..., -1]
+
+
+def step_layer(layer: np.ndarray, d: int, out: np.ndarray | None = None) -> np.ndarray:
     """One nearest-neighbour convolution step in packed coordinates.
 
     Maps the packed slice at time n to the packed slice at time n+1.  Shared
     by the kernel builder, the polymer density recursion and the pair-walk
     dynamic programs so that every consumer applies the identical stencil.
+    Leading axes of layer are a stack of slices, each stepped alone, bit for
+    bit as on its own.  out, if given, receives the result and must have its
+    shape.
+
+    Each new site sums its up to 2d parents in a fixed order, starting from
+    0.0, then scales by 1/(2d).  In d = 2 the order is (i, j), (i, j-1),
+    (i-1, j), (i-1, j-1), and the first two come from one pass of pair sums.
+    Adding 0.0 first changes no value a layer holds (only -0.0, which
+    sums and products of nonnegative values never give), so the pair sums
+    skip it.
     """
+    shape = layer.shape[:-d] + tuple(k + 1 for k in layer.shape[-d:])
+    if out is None:
+        out = np.empty(shape)
     if d == 1:
-        n = layer.shape[0]
-        out = np.zeros(n + 1)
-        out[:-1] += layer
-        out[1:] += layer
+        _pair_sums(layer, out)
         out *= 0.5
         return out
-    n = layer.shape[0]
-    out = np.zeros((n + 1, n + 1))
-    out[:-1, :-1] += layer
-    out[:-1, 1:] += layer
-    out[1:, :-1] += layer
-    out[1:, 1:] += layer
+    _pair_sums(layer, out[..., :-1, :])
+    out[..., -1, :] = 0.0
+    out[..., 1:, :-1] += layer
+    out[..., 1:, 1:] += layer
     out *= 0.25
     return out
 

@@ -179,6 +179,23 @@ def test_refusals_come_before_sampling(command, argv, needle, capsys, monkeypatc
     assert needle in err and "--N" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--dim", "1", "--N", "4", "--c", "1e-200", "--replicas", "1", "--eps", "0.25"],
+        ["clt", "--dim", "1", "--N", "4", "--c", "1e-200", "--eps", "0.25"],
+    ],
+)
+def test_underflowing_c_is_refused(argv, capsys, monkeypatch):
+    # c^2 underflows to 0, so the normalizer a_N = (c^2 sqrt(N))^(-1/2) has
+    # no float64 value.
+    monkeypatch.setattr(harness, "simulate_replica", no_sampling)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert "--c" in err and "underflows" in err
+
+
 def test_zero_disorder_runs_at_n1_in_d2(capsys):
     code, out, err = run_cli(
         ["simulate", "--dim", "2", "--N", "1", "--N", "4", "--c", "0", "--replicas", "2"], capsys

@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polymer_lab import engine, environment, walk
+from test_environment import reference_slice_signs
+from test_walk import reference_step
 
 
 def _random_field(seed, d, horizon):
@@ -107,6 +111,85 @@ def test_lockstep_matches_single_passes():
         engine.evolve_replicas([], 0.3, 4)
     with pytest.raises(ValueError):
         engine.evolve_replicas([_random_field(1, 1, 4), _random_field(1, 2, 4)], 0.3, 4)
+
+
+def _reference_signs(env, n):
+    if isinstance(env, environment.EnvironmentField):
+        return reference_slice_signs(env.seed, env.d, n)
+    return env.slice_signs(n)
+
+
+def _reference_replicas(envs, c, N):
+    """The recursion as it was before the stacked pass: one slice hash,
+    one step, one weight multiply, one sum and one dot per replica and step.
+    Returns (values, linear) per environment."""
+    d = envs[0].d
+    p0 = np.ones((1,) * d)
+    lays = [p0] * len(envs)
+    comps = [np.empty(N) for _ in envs]
+    for n in range(1, N + 1):
+        p0 = reference_step(p0, d)
+        for i, env in enumerate(envs):
+            signs = _reference_signs(env, n)
+            lay = reference_step(lays[i], d)
+            lay *= 1.0 + c * signs
+            assert float(lay.sum()) <= engine.DENSITY_SUM_LIMIT
+            comps[i][n - 1] = c * float(np.dot(p0.ravel(), signs.ravel()))
+            lays[i] = lay
+    return [(lay, float(np.sum(comp))) for lay, comp in zip(lays, comps)]
+
+
+def _task(d, N, size, seeds):
+    """size environments; every third one is a table, so lists mix types."""
+    envs = []
+    for k in range(size):
+        fld = _random_field(seeds[k % len(seeds)] ^ k, d, N)
+        envs.append(environment.EnvironmentTable.from_field(fld, N) if k % 3 == 2 else fld)
+    return envs
+
+
+@pytest.mark.parametrize(
+    "d,N,c",
+    [(1, 1, 0.3), (1, 2, 0.3), (1, 17, 0.6), (1, 300, 0.3), (2, 1, 0.3), (2, 3, 0.6), (2, 17, 0.3)],
+)
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
+def test_stacked_pass_matches_reference_bit_for_bit(d, N, c, size):
+    seeds = (0, 1, 2 ** 64 - 1, 0x5DEECE66D, 0x2545F4914F6CDD1D)
+    for envs in (_task(d, N, size, seeds), [_random_field(s, d, N) for s in seeds[:size]]):
+        got = engine.evolve_replicas(envs, c, N)
+        for layer, (values, linear) in zip(got, _reference_replicas(envs, c, N), strict=True):
+            assert layer.values.tobytes() == values.tobytes()
+            assert layer.linear == linear
+
+
+def test_stacked_pass_above_blas_threshold_and_across_row_blocks():
+    # At d = 2, N = 130 a slice has 131^2 > 10^4 sites, where BLAS may split
+    # the linear-term dot, and a row block holds fewer than 5 replicas.
+    d, N = 2, 130
+    assert engine._BLOCK_BYTES // (8 * (N + 1) ** d) < 5
+    envs = _task(d, N, 5, (3, 2 ** 64 - 1))
+    for layer, (values, linear) in zip(
+        engine.evolve_replicas(envs, 0.3, N), _reference_replicas(envs, 0.3, N), strict=True
+    ):
+        assert layer.values.tobytes() == values.tobytes()
+        assert layer.linear == linear
+
+
+def test_pass_working_memory_is_set_by_the_row_block(monkeypatch):
+    # numpy reports its buffers to tracemalloc.  Beyond the layers it
+    # returns, a pass holds a few row-block-sized arrays, however many
+    # environments it runs; one stack over all 300 would need ~1.2 MB here.
+    monkeypatch.setattr(engine, "_BLOCK_BYTES", 1 << 14)
+    d, N = 1, 64
+    envs = [_random_field(seed, d, N) for seed in range(300)]
+    tracemalloc.start()
+    try:
+        layers = engine.evolve_replicas(envs, 0.3, N)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(layers) == 300
+    assert peak - held < 10 * engine._BLOCK_BYTES
 
 
 def test_determinism():

@@ -3,7 +3,43 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polymer_lab import environment
+from polymer_lab import environment, walk
+
+_U = np.uint64
+SEEDS = (0, 1, 2 ** 64 - 1)
+
+
+def _reference_finalize(z):
+    z ^= z >> _U(30)
+    z *= _U(environment._MIX_A)
+    z ^= z >> _U(27)
+    z *= _U(environment._MIX_B)
+    z ^= z >> _U(31)
+    return z
+
+
+def _reference_absorb(state, words):
+    with np.errstate(over="ignore"):
+        z = words.astype(np.int64).astype(np.uint64)
+        z += _U((int(state) + environment._GOLDEN) & environment._MASK)
+        return _reference_finalize(z)
+
+
+def reference_slice_signs(seed, d, n):
+    """The vector slice hash as it was before SignHasher: one absorb per
+    word over the whole slice, two full finalizes per site in d = 2."""
+    state = environment.hash_words(seed, n)
+    if d == 1:
+        (xs,) = walk.slice_positions(1, n)
+        z = _reference_absorb(state, xs)
+    else:
+        x1, x2 = walk.slice_positions(2, n)
+        z = _reference_absorb(state, x1)
+        with np.errstate(over="ignore"):
+            z += x2.astype(np.int64).astype(np.uint64)
+            z += _U(environment._GOLDEN)
+            z = _reference_finalize(z)
+    return 1.0 - 2.0 * (z >> _U(63)).astype(np.float64)
 
 # Frozen seed-derivation goldens: these values are a compatibility contract
 # (archived runs are replayable only if they never change).
@@ -141,3 +177,49 @@ def test_enumeration_guard():
 def test_cone_site_count():
     assert environment.cone_site_count(1, 4) == 2 + 3 + 4 + 5
     assert environment.cone_site_count(2, 2) == 4 + 9
+
+
+def _corners(d, n):
+    if d == 1:
+        return [(0,), (n,)], [(-n,), (n,)]
+    idx = [(0, 0), (0, n), (n, 0), (n, n)]
+    # (i, j) -> u = 2i - n, v = 2j - n -> x = ((u + v)/2, (u - v)/2)
+    return idx, [(i + j - n, i - j) for i, j in idx]
+
+
+@given(
+    extra=st.lists(st.integers(min_value=0, max_value=2 ** 64 - 1), max_size=3),
+    d=st.sampled_from([1, 2]),
+)
+@settings(max_examples=20, deadline=None)
+def test_hasher_matches_reference_bit_for_bit(extra, d):
+    horizon = 300 if d == 1 else 40
+    seeds = list(SEEDS) + extra
+    hasher = environment.SignHasher(seeds, d, horizon)
+    for n in (1, 2, 3, 17, horizon):
+        got = hasher(n)
+        assert got.shape == (len(seeds),) + (n + 1,) * d
+        for row, seed in zip(got, seeds):
+            want = reference_slice_signs(seed, d, n)
+            assert row.dtype == want.dtype and row.tobytes() == want.tobytes()
+            fld = environment.EnvironmentField(seed=seed, d=d, horizon=horizon)
+            assert fld.slice_signs(n).tobytes() == want.tobytes()
+            for idx, x in zip(*_corners(d, n)):
+                assert row[idx] == fld.value(n, x)
+
+
+def test_hasher_writes_into_out_and_reuses_its_buffers():
+    hasher = environment.SignHasher(SEEDS, 2, 9)
+    out = np.full((3, 6, 6), 7.0)
+    assert hasher(5, out=out) is out
+    first = out.copy()
+    hasher(9)  # fills the whole buffer
+    assert np.array_equal(hasher(5), first)
+    for row, seed in zip(first, SEEDS):
+        assert np.array_equal(row, reference_slice_signs(seed, 2, 5))
+    with pytest.raises(ValueError):
+        hasher(10)
+    with pytest.raises(ValueError):
+        hasher(0)
+    with pytest.raises(ValueError):
+        environment.SignHasher(SEEDS, 3, 9)

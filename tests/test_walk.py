@@ -268,3 +268,47 @@ def test_build_kernel_validation():
 def test_layers_are_immutable(kernel1):
     with pytest.raises(ValueError):
         kernel1.layer(3)[0] = 7.0
+
+
+def reference_step(layer, d):
+    """walk.step_layer on one slice as it was before it took stacks: add
+    each of the 2d neighbours onto zeros, then scale."""
+    n = layer.shape[0]
+    if d == 1:
+        out = np.zeros(n + 1)
+        out[:-1] += layer
+        out[1:] += layer
+        out *= 0.5
+        return out
+    out = np.zeros((n + 1, n + 1))
+    out[:-1, :-1] += layer
+    out[:-1, 1:] += layer
+    out[1:, :-1] += layer
+    out[1:, 1:] += layer
+    out *= 0.25
+    return out
+
+
+@given(
+    d=st.sampled_from([1, 2]),
+    n=st.integers(min_value=0, max_value=12),
+    seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_step_layer_matches_reference_bit_for_bit(d, n, seed):
+    # Nonnegative values over many binades, zeros and subnormals included.
+    rng = np.random.default_rng(seed)
+    lay = rng.random((n + 1,) * d) * 2.0 ** rng.integers(-1074, 1000, (n + 1,) * d)
+    lay[rng.random(lay.shape) < 0.2] = 0.0
+    assert walk.step_layer(lay, d).tobytes() == reference_step(lay, d).tobytes()
+
+
+@pytest.mark.parametrize("d,n", [(1, 0), (1, 6), (2, 0), (2, 5)])
+def test_step_layer_steps_each_slice_of_a_stack_alone(d, n):
+    rng = np.random.default_rng(n)
+    stack = rng.random((3,) + (n + 1,) * d)
+    want = np.stack([walk.step_layer(lay, d) for lay in stack])
+    assert walk.step_layer(stack, d).tobytes() == want.tobytes()
+    out = np.full(want.shape, np.nan)
+    assert walk.step_layer(stack, d, out=out) is out
+    assert out.tobytes() == want.tobytes()
