@@ -112,7 +112,12 @@ def _resolve(args: argparse.Namespace) -> dict:
         resolved[key] = val
     if resolved.get("threads") is None:
         env_threads = os.environ.get("POLYMER_LAB_THREADS")
-        resolved["threads"] = int(env_threads) if env_threads else 1
+        try:
+            resolved["threads"] = int(env_threads) if env_threads else 1
+        except ValueError:
+            raise ValueError(
+                f"POLYMER_LAB_THREADS must be an integer worker count, got {env_threads!r}"
+            ) from None
     return resolved
 
 
@@ -276,15 +281,21 @@ def _experiment_config(resolved: dict) -> harness.ExperimentConfig:
     _require(resolved, "dim", "N")
     if resolved.get("eps") is None and resolved.get("c") is None:
         raise ValueError("need --eps or --c to fix the disorder strength")
+
+    def given(key: str, default):
+        # Only a missing option takes the default; an explicit 0 is validated.
+        val = resolved.get(key)
+        return default if val is None else val
+
     return harness.ExperimentConfig(
         d=resolved["dim"],
-        eps=resolved.get("eps") if resolved.get("eps") is not None else 0.25,
+        eps=given("eps", 0.25),
         n_grid=tuple(sorted(resolved["N"])),
-        replicas=resolved.get("replicas") or 100,
-        master_seed=resolved.get("seed") or 0,
+        replicas=given("replicas", 100),
+        master_seed=given("seed", 0),
         c_override=resolved.get("c"),
-        eps_prob=resolved.get("eps_prob") or 0.1,
-        workers=resolved.get("threads") or 1,
+        eps_prob=given("eps_prob", 0.1),
+        workers=given("threads", 1),
     )
 
 

@@ -16,13 +16,18 @@ block's slices of signs are hashed in one pass (SignHasher), and the
 stencil step and the weight multiply each run once over the whole stack;
 both are elementwise, so every row gets the bits a single layer would.  The
 signs serve both the weight multiply and the order-one chaos term
-f_n = c sum_x h(n, x) p0(n, x) of Z - 1.  Each replica's layer sum
-(overflow guard) and dot product stay per-row calls on contiguous rows, the
-same operations on the same values as a single-replica pass, so the stack
-does not change a bit.  A block's working arrays live in buffers allocated
-once per block and sized by _BLOCK_BYTES, so the memory of a pass beyond
-its result layers does not grow with the number of environments.
-evolve_density is the pass over one environment.
+f_n = c sum_x h(n, x) p0(n, x) of Z - 1.  The layer sums (overflow guard)
+and the sums of h * p0 are one row reduction each over the block: numpy's
+pairwise sum of every contiguous row, the order a lone row gets too.  A
+block's working arrays live in buffers allocated once per block and sized
+by _BLOCK_BYTES, so the memory of a pass beyond its result layers does not
+grow with the number of environments.  evolve_density is the pass over one
+environment.
+
+No sum here goes through BLAS: a BLAS dot splits long vectors across its
+threads, which changes the order of the sum with the thread count.  K in
+observables and brute_force_observables is likewise the pairwise sum of an
+elementwise product.
 
 brute_force_observables enumerates all (2d)^N paths directly and is the
 independent check for the recursion on small N.
@@ -30,7 +35,6 @@ independent check for the recursion on small N.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,13 +135,14 @@ def _evolve_block(envs, c: float, N: int) -> list[DensityLayer]:
         weights = np.multiply(signs, c, out=weight_buf[: count * m].reshape(shape))
         weights += 1.0
         lays *= weights
-        # Flat contiguous rows: the same sum and dot as on a lone layer.
-        flat_p0 = p0.reshape(m)
-        for i, (row, sign_row) in enumerate(zip(lays.reshape(count, m), signs.reshape(count, m))):
-            s = float(row.sum())
-            if not math.isfinite(s) or s > DENSITY_SUM_LIMIT:
-                raise OverflowError(f"density sum {s} exceeded {DENSITY_SUM_LIMIT} at step {n}")
-            comps[i, n - 1] = c * float(flat_p0.dot(sign_row))
+        # Row reductions over the flat (count, m) view: numpy's pairwise sum
+        # of each contiguous row, the bits a lone layer's sum gets.
+        sums = lays.reshape(count, m).sum(axis=1)
+        if not np.all(sums <= DENSITY_SUM_LIMIT):
+            raise OverflowError(f"density sum {sums.max()} exceeded {DENSITY_SUM_LIMIT} at step {n}")
+        # The weights are spent, so their buffer takes the products h * p0.
+        prods = np.multiply(signs, p0, out=weights)
+        comps[:, n - 1] = c * prods.reshape(count, m).sum(axis=1)
     lays.flags.writeable = False
     return [
         DensityLayer(d=d, n=N, values=lay, linear=float(np.sum(comp)))
@@ -154,7 +159,7 @@ def observables(layer: DensityLayer) -> PolymerObservables:
     z = float(layer.values.sum())
     if not z > 0.0:
         raise ValueError(f"partition sum must be positive, got {z}")
-    k = float(np.dot(layer.values.ravel(), walk.slice_sqnorm(layer.d, layer.n).ravel()))
+    k = float((layer.values.ravel() * walk.slice_sqnorm(layer.d, layer.n).ravel()).sum())
     return PolymerObservables(Z=z, K=k, msd=k / z)
 
 
@@ -205,7 +210,7 @@ def brute_force_observables(env, c: float, N: int) -> PolymerObservables:
                 s = signs[n - 1][iu, iv]
             w *= 1.0 + c * s
         z_acc += float(w.sum())
-        k_acc += float(np.dot(w, end_sq))
+        k_acc += float((w * end_sq).sum())
     scale = float(2 * d) ** (-N)
     z = z_acc * scale
     k = k_acc * scale

@@ -19,7 +19,9 @@ a_N^2 c_N^2 = N^{-1/2} (d = 1) resp. 1/log N (d = 2), and converges to
 The sampler takes sum_k f_k from the density recursion itself
 (engine.evolve_replicas rolls p0 next to the polymer layers).
 linear_components computes the same f_k from a dense TransitionKernel; it
-is the independent reference the tests compare the recursion against.
+is the independent reference the tests compare the recursion against.  Both
+routes sum each f_k as numpy's pairwise sum of the products h * p0, never as
+a BLAS dot, so they agree bit for bit at any BLAS thread count.
 """
 
 from __future__ import annotations
@@ -105,9 +107,7 @@ def linear_components(env, c: float, N: int, kernel: walk.TransitionKernel) -> n
         raise ValueError(f"c must satisfy 0 <= c < 1, got {c}")
     out = np.empty(N)
     for k in range(1, N + 1):
-        out[k - 1] = c * float(
-            np.dot(kernel.layer(k).ravel(), env.slice_signs(k).ravel())
-        )
+        out[k - 1] = c * float((kernel.layer(k).ravel() * env.slice_signs(k).ravel()).sum())
     return out
 
 

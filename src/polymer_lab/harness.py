@@ -73,11 +73,11 @@ class ExperimentConfig:
         if list(self.n_grid) != sorted(set(self.n_grid)):
             raise ValueError("n_grid must be strictly increasing")
         if self.replicas < 1:
-            raise ValueError("replicas must be >= 1")
+            raise ValueError(f"replicas must be >= 1 (--replicas), got {self.replicas}")
         if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+            raise ValueError(f"workers must be >= 1 (--threads), got {self.workers}")
         if not 0.0 < self.eps_prob < 1.0:
-            raise ValueError("eps_prob must lie in (0, 1)")
+            raise ValueError(f"eps_prob must lie in (0, 1) (--eps-prob), got {self.eps_prob}")
         if self.c_override is not None and not 0.0 <= self.c_override < 1.0:
             raise ValueError("c override must satisfy 0 <= c < 1")
         # Validates eps, c_N, and a_N wherever c > 0 (the normality report

@@ -50,7 +50,8 @@ def polymer_lab_cli():
     Calls the [project.scripts] target the way the installed wrapper does,
     so the tests need no install: the directory holding the imported
     `polymer_lab` package goes first on PYTHONPATH, which is the source
-    tree in a checkout and site-packages in an install.
+    tree in a checkout and site-packages in an install.  `extra_env` sets
+    further environment variables for one run.
     """
     module, function = _declared_entry_point(SCRIPT_NAME)
     code = f"import sys; from {module} import {function}; sys.exit({function}())"
@@ -60,9 +61,12 @@ def polymer_lab_cli():
         p for p in (package_root, env.get("PYTHONPATH")) if p
     )
 
-    def run(*args: str) -> subprocess.CompletedProcess:
+    def run(*args: str, extra_env: dict | None = None) -> subprocess.CompletedProcess:
         return subprocess.run(
-            [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env
+            [sys.executable, "-c", code, *args],
+            capture_output=True,
+            text=True,
+            env={**env, **(extra_env or {})},
         )
 
     return run

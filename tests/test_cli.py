@@ -108,6 +108,25 @@ def test_simulate_writes_files_and_is_thread_invariant(tmp_path, capsys):
     assert header == "replica_id,seed,d,N,c,Z,K,msd,linear,remainder"
 
 
+def test_simulate_bytes_do_not_depend_on_blas_threads(tmp_path, polymer_lab_cli):
+    # From n = 100 on a d = 2 slice holds more than 10^4 sites, where an
+    # OpenBLAS dot splits its sum across threads and so changes its order.
+    argv = [
+        "simulate", "--dim", "2", "--N", "130", "--eps", "0.25",
+        "--replicas", "3", "--seed", "1",
+    ]
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}"
+        proc = polymer_lab_cli(
+            *argv, "--out", str(out),
+            extra_env={"OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads},
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append([(out / name).read_bytes() for name in ("replicas.csv", "summary.json")])
+    assert outputs[0] == outputs[1]
+
+
 def test_simulate_stdout_without_out(capsys):
     code, out, _ = run_cli(
         ["simulate", "--dim", "1", "--N", "4", "--eps", "0.25", "--replicas", "2", "--seed", "1"],
@@ -318,6 +337,28 @@ def test_threads_env_fallback(monkeypatch):
     monkeypatch.delenv("POLYMER_LAB_THREADS")
     resolved = cli._resolve(ns)
     assert resolved["threads"] == 1
+
+
+@pytest.mark.parametrize("flag", ["--replicas", "--threads", "--eps-prob"])
+def test_explicit_zero_is_refused_not_defaulted(flag, capsys, monkeypatch):
+    monkeypatch.setattr(harness, "simulate_replica", no_sampling)
+    argv = ["simulate", "--dim", "1", "--N", "4", "--eps", "0.25", flag, "0"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert flag in err and "got 0" in err
+
+
+def test_threads_env_must_be_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("POLYMER_LAB_THREADS", "two")
+    code, out, err = run_cli(["simulate", "--dim", "1", "--N", "4", "--eps", "0.25"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "POLYMER_LAB_THREADS" in err and "'two'" in err
+    monkeypatch.setenv("POLYMER_LAB_THREADS", "0")
+    code, _, err = run_cli(["simulate", "--dim", "1", "--N", "4", "--eps", "0.25"], capsys)
+    assert code == 2
+    assert "--threads" in err
 
 
 def test_missing_required_option(capsys):

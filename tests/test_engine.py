@@ -120,9 +120,9 @@ def _reference_signs(env, n):
 
 
 def _reference_replicas(envs, c, N):
-    """The recursion as it was before the stacked pass: one slice hash,
-    one step, one weight multiply, one sum and one dot per replica and step.
-    Returns (values, linear) per environment."""
+    """The recursion one replica and step at a time: one slice hash, one
+    step, one weight multiply, one sum, and the linear term as the pairwise
+    sum of p0 * h.  Returns (values, linear) per environment."""
     d = envs[0].d
     p0 = np.ones((1,) * d)
     lays = [p0] * len(envs)
@@ -134,7 +134,7 @@ def _reference_replicas(envs, c, N):
             lay = reference_step(lays[i], d)
             lay *= 1.0 + c * signs
             assert float(lay.sum()) <= engine.DENSITY_SUM_LIMIT
-            comps[i][n - 1] = c * float(np.dot(p0.ravel(), signs.ravel()))
+            comps[i][n - 1] = c * float((p0.ravel() * signs.ravel()).sum())
             lays[i] = lay
     return [(lay, float(np.sum(comp))) for lay, comp in zip(lays, comps)]
 
@@ -163,8 +163,8 @@ def test_stacked_pass_matches_reference_bit_for_bit(d, N, c, size):
 
 
 def test_stacked_pass_above_blas_threshold_and_across_row_blocks():
-    # At d = 2, N = 130 a slice has 131^2 > 10^4 sites, where BLAS may split
-    # the linear-term dot, and a row block holds fewer than 5 replicas.
+    # At d = 2, N = 130 a slice has 131^2 > 10^4 sites, where a BLAS dot
+    # would split across threads, and a row block holds fewer than 5 replicas.
     d, N = 2, 130
     assert engine._BLOCK_BYTES // (8 * (N + 1) ** d) < 5
     envs = _task(d, N, 5, (3, 2 ** 64 - 1))
@@ -190,6 +190,17 @@ def test_pass_working_memory_is_set_by_the_row_block(monkeypatch):
         tracemalloc.stop()
     assert len(layers) == 300
     assert peak - held < 10 * engine._BLOCK_BYTES
+
+
+def test_overflow_guard_names_the_step(monkeypatch):
+    # Under h = +1 the layer sum is (1 + c)^n; one such row in a block of
+    # decaying ones trips the guard at the first step above the limit.
+    monkeypatch.setattr(engine, "DENSITY_SUM_LIMIT", 10.0)
+    for d in (1, 2):
+        envs = [environment.EnvironmentTable.constant(d, 6, s) for s in (-1, -1, 1)]
+        with pytest.raises(OverflowError, match="at step 4$"):
+            engine.evolve_replicas(envs, 0.9, 6)
+        engine.evolve_replicas(envs[:2], 0.9, 6)
 
 
 def test_determinism():
