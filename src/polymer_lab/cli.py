@@ -140,10 +140,21 @@ def _emit(payload: dict, out: str | None, filename: str = "summary.json") -> Non
             (path / filename).write_text(text)
 
 
+def _nmax(resolved: dict, default: int, cap: int) -> int:
+    """--nmax, or default when it is not given; refused outside [1, cap]."""
+    nmax = resolved.get("nmax")
+    if nmax is None:
+        return default
+    if not 1 <= nmax <= cap:
+        raise ValueError(f"--nmax must lie in [1, {cap}], got {nmax}")
+    return nmax
+
+
 def _cmd_kernel_check(resolved: dict) -> int:
     _require(resolved, "dim")
     d = resolved["dim"]
-    nmax = resolved.get("nmax") or 50
+    # The kernel goes to depth 2 nmax for the collision identity.
+    nmax = _nmax(resolved, 50, walk.MAX_KERNEL_DEPTH // 2)
     kernel = walk.build_kernel(d, 2 * nmax)
     norm_dev = 0.0
     sym_dev = 0.0
@@ -153,8 +164,7 @@ def _cmd_kernel_check(resolved: dict) -> int:
     for n in range(1, nmax + 1):
         lay = kernel.layer(n)
         norm_dev = max(norm_dev, abs(float(lay.sum()) - 1.0))
-        flipped = lay[::-1] if d == 1 else lay[::-1, ::-1]
-        sym_dev = max(sym_dev, float(np.abs(lay - flipped).max()))
+        sym_dev = max(sym_dev, float(np.abs(lay - np.flip(lay)).max()))
         x1 = walk.slice_positions(d, n)[0]
         odd_dev = max(odd_dev, abs(float((lay * x1).sum())))
         collision_dev = max(
@@ -191,7 +201,7 @@ def _cmd_kernel_check(resolved: dict) -> int:
 def _cmd_moments(resolved: dict) -> int:
     _require(resolved, "dim")
     d = resolved["dim"]
-    nmax = resolved.get("nmax") or 30
+    nmax = _nmax(resolved, 30, walk.MAX_KERNEL_DEPTH)
     kernel = walk.build_kernel(d, nmax)
     kinds = ("second", "fourth") if d == 1 else walk.MOMENT_KINDS
     rows = []

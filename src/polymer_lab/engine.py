@@ -20,9 +20,10 @@ f_n = c sum_x h(n, x) p0(n, x) of Z - 1.  The layer sums (overflow guard)
 and the sums of h * p0 are one row reduction each over the block: numpy's
 pairwise sum of every contiguous row, the order a lone row gets too.  A
 block's working arrays live in buffers allocated once per block and sized
-by _BLOCK_BYTES, so the memory of a pass beyond its result layers does not
-grow with the number of environments.  evolve_density is the pass over one
-environment.
+by _BLOCK_BYTES, and evolve_replicas yields the final layers block by
+block, so a caller that consumes each layer as it comes holds the memory
+of one block however many environments it runs.  evolve_density is the
+pass over one environment.
 
 No sum here goes through BLAS: a BLAS dot splits long vectors across its
 threads, which changes the order of the sum with the thread count.  K in
@@ -35,6 +36,7 @@ independent check for the recursion on small N.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,8 +85,12 @@ def _check_run_args(env, c: float, N: int) -> None:
         raise ValueError(f"environment horizon {env.horizon} < N = {N}")
 
 
-def evolve_replicas(envs, c: float, N: int) -> list[DensityLayer]:
-    """Run the density recursion to time N under each environment, in lockstep."""
+def evolve_replicas(envs, c: float, N: int) -> Iterator[DensityLayer]:
+    """Run the density recursion to time N under each environment, in lockstep.
+
+    The arguments are checked at once; the final layers are then yielded in
+    environment order, each row block's computed when its first is asked for.
+    """
     if not envs:
         raise ValueError("need at least one environment")
     d = envs[0].d
@@ -92,18 +98,19 @@ def evolve_replicas(envs, c: float, N: int) -> list[DensityLayer]:
         if env.d != d:
             raise ValueError("environments differ in dimension")
         _check_run_args(env, c, N)
-    rows = max(1, _BLOCK_BYTES // (8 * (N + 1) ** d))
-    out = []
-    for lo in range(0, len(envs), rows):
-        out += _evolve_block(envs[lo : lo + rows], c, N)
-    return out
+    rows = max(1, _BLOCK_BYTES // (8 * walk.slice_size(d, N)))
+    return (
+        layer
+        for lo in range(0, len(envs), rows)
+        for layer in _evolve_block(envs[lo : lo + rows], c, N)
+    )
 
 
 def _evolve_block(envs, c: float, N: int) -> list[DensityLayer]:
     """evolve_replicas on one row block, its layers stacked on a leading axis.
 
     The working arrays are flat buffers sized for time N, allocated once;
-    step n reads a contiguous prefix of each as a stack of (n+1)^d slices.
+    step n reads a contiguous prefix of each as a stack of packed slices.
     A block of EnvironmentFields is hashed by one SignHasher; any other
     environment fills its row from its own slice_signs.
     """
@@ -113,17 +120,17 @@ def _evolve_block(envs, c: float, N: int) -> list[DensityLayer]:
         hasher = SignHasher([env.seed for env in envs], d, N)
     else:
         hasher = None
-    size = (N + 1) ** d
+    size = walk.slice_size(d, N)
     free_bufs = (np.empty(size), np.empty(size))
     layer_bufs = (np.empty(count * size), np.empty(count * size))
     sign_buf = np.empty(count * size)
     weight_buf = np.empty(count * size)
-    p0 = np.ones((1,) * d)
+    p0 = np.ones(walk.slice_shape(d, 0))
     lays = np.ones((count,) + p0.shape)
     comps = np.empty((count, N))
     for n in range(1, N + 1):
-        m = (n + 1) ** d
-        shape = (count,) + (n + 1,) * d
+        m = walk.slice_size(d, n)
+        shape = (count,) + walk.slice_shape(d, n)
         p0 = walk.step_layer(p0, d, out=free_bufs[n % 2][:m].reshape(shape[1:]))
         lays = walk.step_layer(lays, d, out=layer_bufs[n % 2][: count * m].reshape(shape))
         signs = sign_buf[: count * m].reshape(shape)
@@ -152,7 +159,7 @@ def _evolve_block(envs, c: float, N: int) -> list[DensityLayer]:
 
 def evolve_density(env, c: float, N: int) -> DensityLayer:
     """Run the density recursion to time N under the given environment."""
-    return evolve_replicas([env], c, N)[0]
+    return next(evolve_replicas([env], c, N))
 
 
 def observables(layer: DensityLayer) -> PolymerObservables:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .walk import as_point
+from .walk import as_point, check_dim, packed_index, slice_shape, slice_size
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -93,23 +93,19 @@ def derive_replica_seed(master_seed: int, grid_index: int, replica_index: int) -
     return hash_words(master_seed, _REPLICA_DOMAIN, grid_index, replica_index)
 
 
-def cone_slice_size(d: int, n: int) -> int:
-    """Number of parity-valid sites at time n."""
-    return n + 1 if d == 1 else (n + 1) * (n + 1)
-
-
 def cone_site_count(d: int, horizon: int) -> int:
     """Total parity-valid sites with 1 <= n <= horizon."""
-    return sum(cone_slice_size(d, n) for n in range(1, horizon + 1))
+    return sum(slice_size(d, n) for n in range(1, horizon + 1))
 
 
-def _check_site(d: int, horizon: int, n: int, pt: tuple[int, ...]) -> None:
+def _site_index(d: int, horizon: int, n: int, x) -> tuple[int, ...]:
+    """Packed index of site x at time n; refuses sites outside the field."""
     if not 1 <= n <= horizon:
         raise ValueError(f"time {n} outside environment horizon [1, {horizon}]")
-    if sum(abs(c) for c in pt) > n:
-        raise ValueError(f"site {pt} outside the light cone at time {n}")
-    if (sum(pt) + n) % 2:
-        raise ValueError(f"site {pt} violates parity at time {n}")
+    idx = packed_index(d, n, x)
+    if idx is None:
+        raise ValueError(f"site {x} outside the light cone or off parity at time {n}")
+    return idx
 
 
 def _stacked_signs(
@@ -167,8 +163,7 @@ class SignHasher:
     """
 
     def __init__(self, seeds, d: int, horizon: int) -> None:
-        if d not in (1, 2):
-            raise ValueError(f"dimension must be 1 or 2, got {d!r}")
+        check_dim(d)
         self.d = d
         self.horizon = horizon
         # Row n-1 holds hash_words(seed, n) + _GOLDEN for each field.
@@ -179,15 +174,15 @@ class SignHasher:
         self._states = _finalize_vec(times[:, None] + seed_states)
         self._states += np.uint64(_GOLDEN)
         self._words = _centered_words(horizon)
-        self._z = np.empty(len(seed_states) * cone_slice_size(d, horizon), dtype=np.uint64)
+        self._z = np.empty(len(seed_states) * slice_size(d, horizon), dtype=np.uint64)
 
     def __call__(self, n: int, out: np.ndarray | None = None) -> np.ndarray:
         """Stacked +/-1.0 slices at time n, written into out if given."""
         if not 1 <= n <= self.horizon:
             raise ValueError(f"time {n} outside environment horizon [1, {self.horizon}]")
         states = self._states[n - 1, :, None]
-        shape = states.shape[:1] + (n + 1,) * self.d
-        z = self._z[: states.shape[0] * cone_slice_size(self.d, n)].reshape(shape)
+        shape = states.shape[:1] + slice_shape(self.d, n)
+        z = self._z[: states.shape[0] * slice_size(self.d, n)].reshape(shape)
         words = self._words[self.horizon - n : self.horizon + n + 1]
         return _stacked_signs(states, words, self.d, n, z, np.empty(shape) if out is None else out)
 
@@ -201,16 +196,14 @@ class EnvironmentField:
     horizon: int
 
     def __post_init__(self) -> None:
-        if self.d not in (1, 2):
-            raise ValueError(f"dimension must be 1 or 2, got {self.d!r}")
+        check_dim(self.d)
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
 
     def value(self, n: int, x) -> int:
         """Sign at one site; scalar reference path for the vectorized slices."""
-        pt = as_point(x, self.d)
-        _check_site(self.d, self.horizon, n, pt)
-        h = hash_words(self.seed, n, *pt)
+        _site_index(self.d, self.horizon, n, x)
+        h = hash_words(self.seed, n, *as_point(x, self.d))
         return 1 - 2 * (h >> 63)
 
     def slice_signs(self, n: int) -> np.ndarray:
@@ -222,7 +215,7 @@ class EnvironmentField:
         if not 1 <= n <= self.horizon:
             raise ValueError(f"time {n} outside environment horizon [1, {self.horizon}]")
         state = (hash_words(self.seed, n) + _GOLDEN) & _MASK
-        shape = (1,) + (n + 1,) * self.d
+        shape = (1,) + slice_shape(self.d, n)
         z = np.empty(shape, dtype=np.uint64)
         states = np.array([[state]], dtype=np.uint64)
         return _stacked_signs(states, _centered_words(n), self.d, n, z, np.empty(shape))[0]
@@ -252,13 +245,7 @@ class EnvironmentTable:
     slices: tuple = field(repr=False)
 
     def value(self, n: int, x) -> int:
-        pt = as_point(x, self.d)
-        _check_site(self.d, self.horizon, n, pt)
-        lay = self.slices[n - 1]
-        if self.d == 1:
-            return int(lay[(pt[0] + n) // 2])
-        u, v = pt[0] + pt[1], pt[0] - pt[1]
-        return int(lay[(u + n) // 2, (v + n) // 2])
+        return int(self.slices[n - 1][_site_index(self.d, self.horizon, n, x)])
 
     def slice_signs(self, n: int) -> np.ndarray:
         if not 1 <= n <= self.horizon:
@@ -271,8 +258,7 @@ class EnvironmentTable:
             raise ValueError("sign must be +1 or -1")
         slices = []
         for n in range(1, horizon + 1):
-            shape = (n + 1,) if d == 1 else (n + 1, n + 1)
-            lay = np.full(shape, float(sign))
+            lay = np.full(slice_shape(d, n), float(sign))
             lay.flags.writeable = False
             slices.append(lay)
         return cls(d=d, horizon=horizon, slices=tuple(slices))
@@ -293,12 +279,10 @@ class EnvironmentTable:
         slices = []
         offset = 0
         for n in range(1, horizon + 1):
-            size = cone_slice_size(d, n)
+            size = slice_size(d, n)
             idx = np.arange(offset, offset + size, dtype=np.uint64)
             b = (np.uint64(bits) >> idx) & np.uint64(1)
-            lay = 1.0 - 2.0 * b.astype(np.float64)
-            if d == 2:
-                lay = lay.reshape(n + 1, n + 1)
+            lay = (1.0 - 2.0 * b.astype(np.float64)).reshape(slice_shape(d, n))
             lay.flags.writeable = False
             slices.append(lay)
             offset += size

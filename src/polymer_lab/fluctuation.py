@@ -58,8 +58,7 @@ class ScalingRule:
     eps: float
 
     def __post_init__(self) -> None:
-        if self.d not in (1, 2):
-            raise ValueError(f"dimension must be 1 or 2, got {self.d!r}")
+        walk.check_dim(self.d)
         if not self.eps > 0.0:
             raise ValueError(f"eps must be > 0, got {self.eps}")
 
@@ -138,8 +137,7 @@ def limit_variance(d: int, N: int) -> float:
     a_N^2 c_N^2 collapses to 1/sqrt(N) (d = 1) resp. 1/log N (d = 2), so the
     value depends on neither eps nor any c override.
     """
-    if d not in (1, 2):
-        raise ValueError(f"dimension must be 1 or 2, got {d!r}")
+    walk.check_dim(d)
     if N < 1 or (d == 2 and N < 2):
         raise ValueError(f"N = {N} out of range for d = {d}")
     returns = walk.central_return_sequence(d, N)

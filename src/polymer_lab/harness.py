@@ -1,14 +1,13 @@
 """Deterministic replica harness: parallel runs, concentration and normality reports.
 
 Replicas are embarrassingly parallel and completely determined by their
-derived seeds.  run_replicas cuts each grid point's replicas into tasks of
-consecutive replicas, runs every task through one lockstep pass of
-engine.evolve_replicas (which yields Z, K and the linear term together), and
-reassembles the results in replica order; a task's size depends only on the
-worker count and on a fixed memory budget for its layers.  The pass hashes,
-steps and weights each time slice of a row block of the task's replicas as
-one stacked array, and its working buffers are sized per row block, not per
-task.  Every replica's numbers come from the same operations whatever task
+derived seeds.  run_replicas cuts each grid point's replicas into one task
+of consecutive replicas per worker, runs every task through one lockstep
+pass of engine.evolve_replicas, and reassembles the results in replica
+order.  The pass yields each replica's final layer and linear term row
+block by row block, and simulate_replica turns each layer into Z, K and
+msd as it comes, so a task's memory is that of one row block, whatever its
+size.  Every replica's numbers come from the same operations whatever task
 or block it lands in, so output bytes are identical for any worker count.
 No transition kernel is built: the linear term reads the pass's rolling
 free-walk layer.
@@ -26,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import engine, fluctuation, moments, stats
+from . import engine, fluctuation, moments, stats, walk
 from .environment import EnvironmentField, derive_replica_seed
 
 CSV_COLUMNS = (
@@ -41,15 +40,6 @@ CSV_COLUMNS = (
     "linear",
     "remainder",
 )
-
-# Memory for the density layers of one lockstep task; a grid point's replicas
-# are cut into tasks of at most TASK_LAYER_BUDGET // layer_bytes(d, N).
-TASK_LAYER_BUDGET = 32 * 2 ** 20
-
-
-def layer_bytes(d: int, N: int) -> int:
-    """Bytes of one packed float64 density layer at time N."""
-    return 8 * (N + 1) ** d
 
 
 @dataclass(frozen=True)
@@ -66,8 +56,7 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if self.d not in (1, 2):
-            raise ValueError(f"dimension must be 1 or 2, got {self.d!r}")
+        walk.check_dim(self.d)
         if not self.n_grid or any(n < 1 for n in self.n_grid):
             raise ValueError("n_grid must be nonempty with N >= 1")
         if list(self.n_grid) != sorted(set(self.n_grid)):
@@ -162,10 +151,7 @@ def run_replicas(config: ExperimentConfig) -> list[ReplicaResult]:
             (r, derive_replica_seed(config.master_seed, grid_index, r))
             for r in range(config.replicas)
         ]
-        size = min(
-            math.ceil(len(jobs) / config.workers),
-            max(1, TASK_LAYER_BUDGET // layer_bytes(config.d, N)),
-        )
+        size = math.ceil(len(jobs) / config.workers)
         tasks += [(config.d, N, c, jobs[i : i + size]) for i in range(0, len(jobs), size)]
     columns = list(zip(*tasks))
     if config.workers == 1:

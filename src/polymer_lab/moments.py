@@ -86,8 +86,7 @@ def _fsum_finite(values, N: int, c: float, d: int) -> float:
 
 
 def _check_args(N: int, c: float, d: int) -> None:
-    if d not in (1, 2):
-        raise ValueError(f"dimension must be 1 or 2, got {d!r}")
+    walk.check_dim(d)
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     if not 0.0 <= c < 1.0:
@@ -290,6 +289,7 @@ def weighted_fourth_sum(times, N: int, d: int) -> float:
 
     for a strictly increasing collision-time sequence `times` inside [1, N].
     """
+    walk.check_dim(d)
     seq = _check_times(times, N)
     gaps = np.diff(np.concatenate(([0], seq)))
     i_n = int(seq[-1])
@@ -297,9 +297,7 @@ def weighted_fourth_sum(times, N: int, d: int) -> float:
     base = float((N - i_n) ** 2 + 2 * (N - i_n) * i_n)
     if d == 1:
         return base + float(3 * np.dot(gaps, gaps) - 2 * i_n + 6 * np.dot(gaps, prev))
-    if d == 2:
-        return base + float(2 * np.dot(gaps, gaps) - i_n + 4 * np.dot(gaps, prev))
-    raise ValueError(f"dimension must be 1 or 2, got {d!r}")
+    return base + float(2 * np.dot(gaps, gaps) - i_n + 4 * np.dot(gaps, prev))
 
 
 def weighted_fourth_sum_direct(times, N: int, d: int) -> float:

@@ -27,9 +27,31 @@ MAX_KERNEL_BYTES = 1_250_000_000
 MOMENT_KINDS = ("second", "fourth", "partial-second", "partial-fourth", "cross")
 
 
-def _check_dim(d: int) -> None:
+def check_dim(d: int) -> None:
     if d not in (1, 2):
         raise ValueError(f"dimension must be 1 or 2, got {d!r}")
+
+
+def slice_shape(d: int, n: int) -> tuple[int, ...]:
+    """Shape of the packed slice at time n: (n+1,) or (n+1, n+1)."""
+    return (n + 1,) * d
+
+
+def slice_size(d: int, n: int) -> int:
+    """Number of sites in the packed slice at time n."""
+    return (n + 1) ** d
+
+
+def packed_index(d: int, n: int, x) -> tuple[int, ...] | None:
+    """Index of lattice point x in the packed slice at time n.
+
+    None if x lies outside the light cone or off parity at time n.
+    """
+    pt = as_point(x, d)
+    coords = pt if d == 1 else (pt[0] + pt[1], pt[0] - pt[1])
+    if any(abs(u) > n or (u + n) % 2 for u in coords):
+        return None
+    return tuple((u + n) // 2 for u in coords)
 
 
 def _pair_sums(layer: np.ndarray, out: np.ndarray) -> None:
@@ -79,7 +101,7 @@ def slice_positions(d: int, n: int) -> tuple[np.ndarray, ...]:
     (n+1, n+1), following the diagonal packing described in the module
     docstring.
     """
-    _check_dim(d)
+    check_dim(d)
     if n < 0:
         raise ValueError("time must be nonnegative")
     span = 2 * np.arange(n + 1, dtype=np.int64) - n
@@ -92,14 +114,7 @@ def slice_positions(d: int, n: int) -> tuple[np.ndarray, ...]:
 
 def slice_sqnorm(d: int, n: int) -> np.ndarray:
     """|x|^2 over the packed slice at time n (float array)."""
-    if d == 1:
-        (x,) = slice_positions(1, n)
-        return (x * x).astype(np.float64)
-    span = 2 * np.arange(n + 1, dtype=np.int64) - n
-    u2 = (span * span)[:, None]
-    v2 = (span * span)[None, :]
-    # |x|^2 = (u^2 + v^2)/2, integer because u and v share parity.
-    return ((u2 + v2) // 2).astype(np.float64)
+    return sum(x * x for x in slice_positions(d, n)).astype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -183,17 +198,8 @@ class TransitionKernel:
         """p0(n, x) for any lattice x; 0.0 outside the cone or off parity."""
         if not 0 <= n <= self.n_max:
             raise ValueError(f"time {n} outside kernel range [0, {self.n_max}]")
-        pt = as_point(x, self.d)
-        if self.d == 1:
-            (x1,) = pt
-            if abs(x1) > n or (x1 + n) % 2:
-                return 0.0
-            return float(self._layers[n][(x1 + n) // 2])
-        x1, x2 = pt
-        u, v = x1 + x2, x1 - x2
-        if abs(u) > n or abs(v) > n or (u + n) % 2 or (v + n) % 2:
-            return 0.0
-        return float(self._layers[n][(u + n) // 2, (v + n) // 2])
+        idx = packed_index(self.d, n, x)
+        return 0.0 if idx is None else float(self._layers[n][idx])
 
 
 def as_point(x, d: int) -> tuple[int, ...]:
@@ -209,17 +215,16 @@ def as_point(x, d: int) -> tuple[int, ...]:
 
 def build_kernel(d: int, n_max: int) -> TransitionKernel:
     """Build and store all packed layers p0(n, .) for 0 <= n <= n_max."""
-    _check_dim(d)
+    check_dim(d)
     if not 1 <= n_max <= MAX_KERNEL_DEPTH:
         raise ValueError(f"n_max must lie in [1, {MAX_KERNEL_DEPTH}], got {n_max}")
-    count = n_max + 1
-    entries = count * (count + 1) // 2 if d == 1 else count * (count + 1) * (2 * count + 1) // 6
+    entries = sum(slice_size(d, n) for n in range(n_max + 1))
     if entries * 8 > MAX_KERNEL_BYTES:
         raise ValueError(
             f"dense kernel (d={d}, n_max={n_max}) would need {entries * 8} bytes, "
             f"more than the {MAX_KERNEL_BYTES}-byte limit; lower --nmax"
         )
-    layers = [np.ones((1,) if d == 1 else (1, 1))]
+    layers = [np.ones(slice_shape(d, 0))]
     for _ in range(n_max):
         layers.append(step_layer(layers[-1], d))
     for lay in layers:
@@ -288,7 +293,7 @@ def moment(kernel: TransitionKernel, spec: MomentSpec) -> float:
 
 def closed_form_moment(d: int, kind: str, n: int) -> float:
     """Reference closed forms for the moment sums (exact integers/rationals)."""
-    _check_dim(d)
+    check_dim(d)
     if kind not in MOMENT_KINDS:
         raise ValueError(f"unknown moment kind {kind!r}")
     if d == 1:
@@ -329,7 +334,7 @@ def shifted_moment(kernel: TransitionKernel, m: int, y, order: int) -> float:
 
 def shifted_moment_closed_form(d: int, m: int, y, order: int) -> float:
     """Closed forms for shifted moments: order 2 is m + |y|^2 in both d."""
-    _check_dim(d)
+    check_dim(d)
     pt = as_point(y, d)
     ysq = float(sum(c * c for c in pt))
     if order == 2:
@@ -357,7 +362,7 @@ def return_probability(d: int, n: int) -> float:
     Evaluated by the stable product  prod_{j<=n/2} (2j-1)/(2j), not by the
     Gaussian asymptotic, so deep sweeps stay exact without dense layers.
     """
-    _check_dim(d)
+    check_dim(d)
     if n < 0:
         raise ValueError("time must be nonnegative")
     if n % 2:
@@ -370,7 +375,7 @@ def return_probability(d: int, n: int) -> float:
 
 def central_return_sequence(d: int, k_max: int) -> np.ndarray:
     """Array of p0(2k, 0) for k = 1..k_max via the running central-binomial product."""
-    _check_dim(d)
+    check_dim(d)
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     j = np.arange(1, k_max + 1, dtype=np.float64)
@@ -391,7 +396,7 @@ def collision_layer_moments(d: int, n_max: int) -> CollisionMoments:
     The direct lattice sums over a dense kernel are the reference in the
     tests.
     """
-    _check_dim(d)
+    check_dim(d)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     mass = np.empty(n_max)

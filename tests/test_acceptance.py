@@ -3,11 +3,14 @@
 Each test prints its verdict with the measured numbers before asserting, so
 a red line still documents what the implementation actually produced.  The
 heavy Monte Carlo fixtures are module scoped and deterministic (frozen
-master seeds), so the whole file is reproducible bit for bit.
+master seeds), so the whole file is reproducible bit for bit.  They run on
+up to four worker processes; their bytes do not depend on the worker count
+(check 10).
 """
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -31,11 +34,14 @@ def _report(name: str, ok: bool, detail: str) -> bool:
 
 # --- shared Monte Carlo fixtures (deterministic) ---
 
+WORKERS = min(4, len(os.sched_getaffinity(0)))
+
 
 @pytest.fixture(scope="module")
 def conc_d1():
     config = harness.ExperimentConfig(
-        d=1, eps=0.05, n_grid=(256, 1024, 4096), replicas=400, master_seed=20260814
+        d=1, eps=0.05, n_grid=(256, 1024, 4096), replicas=400, master_seed=20260814,
+        workers=WORKERS,
     )
     return harness.concentration_report(
         harness.run_replicas(config), harness.exact_moments(config), 0.1
@@ -45,7 +51,8 @@ def conc_d1():
 @pytest.fixture(scope="module")
 def conc_d2():
     config = harness.ExperimentConfig(
-        d=2, eps=0.25, n_grid=(64, 128, 256), replicas=400, master_seed=20260814
+        d=2, eps=0.25, n_grid=(64, 128, 256), replicas=400, master_seed=20260814,
+        workers=WORKERS,
     )
     return harness.concentration_report(
         harness.run_replicas(config), harness.exact_moments(config), 0.1
@@ -55,7 +62,7 @@ def conc_d2():
 @pytest.fixture(scope="module")
 def norm_d2():
     config = harness.ExperimentConfig(
-        d=2, eps=0.25, n_grid=(64, 128, 256), replicas=2000, master_seed=97
+        d=2, eps=0.25, n_grid=(64, 128, 256), replicas=2000, master_seed=97, workers=WORKERS
     )
     results = harness.run_replicas(config)
     return harness.normality_report(results, harness.exact_moments(config), config.rule())

@@ -57,6 +57,31 @@ def test_moments_table(capsys):
         assert row["fourth"] == pytest.approx(row["fourth_closed_form"], rel=1e-12)
 
 
+def no_kernel(*args):
+    raise AssertionError("a kernel was built before --nmax was refused")
+
+
+# Only values that must be refused: a valid --nmax near the cap builds a
+# kernel of hundreds of MB.  kernel-check builds to depth 2 nmax.
+@pytest.mark.parametrize(
+    "command,nmax",
+    [
+        ("kernel-check", 0),
+        ("kernel-check", -3),
+        ("kernel-check", walk.MAX_KERNEL_DEPTH // 2 + 1),
+        ("moments", 0),
+        ("moments", -3),
+        ("moments", walk.MAX_KERNEL_DEPTH + 1),
+    ],
+)
+def test_nmax_out_of_range_is_refused_not_defaulted(command, nmax, capsys, monkeypatch):
+    monkeypatch.setattr(walk, "build_kernel", no_kernel)
+    code, out, err = run_cli([command, "--dim", "1", "--nmax", str(nmax)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "--nmax" in err and f"got {nmax}" in err
+
+
 def test_oracle_keys(capsys):
     code, out, err = run_cli(
         ["oracle", "--dim", "2", "--N", "1", "--N", "16", "--c", "0.3"], capsys

@@ -166,7 +166,7 @@ def test_stacked_pass_above_blas_threshold_and_across_row_blocks():
     # At d = 2, N = 130 a slice has 131^2 > 10^4 sites, where a BLAS dot
     # would split across threads, and a row block holds fewer than 5 replicas.
     d, N = 2, 130
-    assert engine._BLOCK_BYTES // (8 * (N + 1) ** d) < 5
+    assert engine._BLOCK_BYTES // (8 * walk.slice_size(d, N)) < 5
     envs = _task(d, N, 5, (3, 2 ** 64 - 1))
     for layer, (values, linear) in zip(
         engine.evolve_replicas(envs, 0.3, N), _reference_replicas(envs, 0.3, N), strict=True
@@ -184,7 +184,7 @@ def test_pass_working_memory_is_set_by_the_row_block(monkeypatch):
     envs = [_random_field(seed, d, N) for seed in range(300)]
     tracemalloc.start()
     try:
-        layers = engine.evolve_replicas(envs, 0.3, N)
+        layers = list(engine.evolve_replicas(envs, 0.3, N))
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -199,8 +199,8 @@ def test_overflow_guard_names_the_step(monkeypatch):
     for d in (1, 2):
         envs = [environment.EnvironmentTable.constant(d, 6, s) for s in (-1, -1, 1)]
         with pytest.raises(OverflowError, match="at step 4$"):
-            engine.evolve_replicas(envs, 0.9, 6)
-        engine.evolve_replicas(envs[:2], 0.9, 6)
+            list(engine.evolve_replicas(envs, 0.9, 6))
+        list(engine.evolve_replicas(envs[:2], 0.9, 6))
 
 
 def test_determinism():

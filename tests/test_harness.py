@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -75,24 +76,36 @@ def _csv_bytes(config) -> str:
     return buf.getvalue()
 
 
-def test_batch_split_keeps_bytes(monkeypatch):
+def test_batch_split_keeps_bytes():
+    # One task per worker: 10 replicas make tasks of 5+5 at 2 workers and
+    # 4+4+2 at 3, each cut into different row blocks.
     base = dict(d=1, eps=0.25, n_grid=(8, 16), replicas=10, master_seed=42)
     unsplit = _csv_bytes(harness.ExperimentConfig(**base))
-    # Room for 3 layers at N = 16 and 5 at N = 8: tasks of 5+5 and 3+3+3+1.
-    monkeypatch.setattr(harness, "TASK_LAYER_BUDGET", 3 * harness.layer_bytes(1, 16))
-    sizes = []
-    simulate = harness.simulate_replica
-
-    def counting(d, N, c, jobs):
-        sizes.append(len(jobs))
-        return simulate(d, N, c, jobs)
-
-    with monkeypatch.context() as m:
-        m.setattr(harness, "simulate_replica", counting)
-        assert _csv_bytes(harness.ExperimentConfig(**base)) == unsplit
-    assert sizes == [5, 5, 3, 3, 3, 1]
     for workers in (2, 3):
         assert _csv_bytes(harness.ExperimentConfig(**base, workers=workers)) == unsplit
+
+
+def _task_working_memory(d, N, count) -> int:
+    """Peak minus held traced memory of one lockstep task of count replicas."""
+    jobs = [(r, environment.derive_replica_seed(3, d, r)) for r in range(count)]
+    tracemalloc.start()
+    try:
+        rows = harness.simulate_replica(d, N, 0.3, jobs)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == count
+    return peak - held
+
+
+def test_task_memory_is_set_by_the_row_block(monkeypatch):
+    # A task turns each layer into observables as the pass yields it, so
+    # its working memory is about one row block's however many replicas it
+    # runs: only the per-replica bookkeeping grows.  Holding every final
+    # layer until the task ends would grow it with the task size.
+    monkeypatch.setattr(engine, "_BLOCK_BYTES", 1 << 14)
+    for d, N in ((1, 64), (2, 16)):
+        assert _task_working_memory(d, N, 600) < 1.5 * _task_working_memory(d, N, 150)
 
 
 def test_run_replicas_layout_and_seeds():

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polymer_lab import walk
+from polymer_lab import environment, walk
 
 # Measured over n <= 256 (d=1) and n <= 128 (d=2); the products
 # sup_x p0(n,x) * n^(d/2) increase toward sqrt(2/pi) resp. 2/pi, so these
@@ -158,6 +159,37 @@ def test_slice_sqnorm_values():
     # (u,v) grid corners are (+-2, +-2) -> |x|^2 = 4; center (0,0) -> 0
     assert sq[0, 0] == 4.0 and sq[1, 1] == 0.0 and sq[2, 0] == 4.0
     assert sq[1, 0] == 2.0
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_packed_index_round_trips_and_refuses(d, kernel1, kernel2):
+    # Every site of the packed slice maps back to its own index; every
+    # other point of a box around the cone is off the cone or off parity,
+    # where the kernel reads 0 and both environments refuse the site.
+    kernel = kernel1 if d == 1 else kernel2
+    for n in range(7):
+        positions = walk.slice_positions(d, n)
+        shape = walk.slice_shape(d, n)
+        assert positions[0].shape == shape
+        sites = set()
+        for idx in np.ndindex(shape):
+            x = tuple(int(p[idx]) for p in positions)
+            assert walk.packed_index(d, n, x) == idx
+            sites.add(x)
+        assert len(sites) == walk.slice_size(d, n)
+        fields = []
+        if n >= 1:
+            fld = environment.EnvironmentField(seed=7, d=d, horizon=n)
+            fields = [fld, environment.EnvironmentTable.from_field(fld, n)]
+        box = range(-n - 2, n + 3)
+        for x in itertools.product(box, repeat=d):
+            if x in sites:
+                continue
+            assert walk.packed_index(d, n, x) is None
+            assert kernel.probability(n, x) == 0.0
+            for env in fields:
+                with pytest.raises(ValueError):
+                    env.value(n, x)
 
 
 def test_lclt_estimate_decay(kernel1, kernel2):
