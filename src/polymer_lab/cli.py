@@ -65,7 +65,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def load_config(path: str) -> dict:
-    """Flat key = value lines; '#' comments; N accepts comma lists or repeats."""
+    """Flat key = value lines; '#' comments; N accepts comma lists or repeats.
+    A key that no subcommand takes is refused."""
     out: dict = {}
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -81,6 +82,9 @@ def load_config(path: str) -> dict:
             out["N"] = vals
         else:
             out[key] = val
+    unknown = sorted(set(out) - _INT_KEYS - _FLOAT_KEYS - {"N", "check", "out"})
+    if unknown:
+        raise ValueError(f"config file {path} has unknown keys: {', '.join(unknown)}")
     return out
 
 

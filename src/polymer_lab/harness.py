@@ -76,8 +76,8 @@ class ExperimentConfig:
             c = self.c_of(n)
             if c > 0.0:
                 rule.a_of(n, c)
-        # The reports need exact moments up to the largest N; refuse here
-        # rather than after every replica has been sampled.
+        # The cap bounds the sampler (a d = 2 layer at N = 4096 is 134 MB);
+        # exact_moments has none.  Refused before any replica is sampled.
         moments.check_expansion_cap(self.n_grid[-1], self.d)
 
     def rule(self) -> fluctuation.ScalingRule:

@@ -21,21 +21,21 @@ walks meet at time k:
 
 Every quantity here is computed by at least two genuinely different routes:
 
-* renewal: the O(N^2) scalar sum above; the route the CLI and the reports
-  take for E Z^2;
+* renewal: the O(N^2) scalar sum above, and for E K^2 its convolutions with
+  the collision moments; the route `simulate`, `concentration` and `clt` take;
 * expansion: per-order dynamic programming over the last collision time,
   carrying only the mass / |y|^2 / |y|^4 summaries of the last-collision
   site distribution (the terminal weight needs nothing more); one pass gives
-  the per-order terms of both E Z^2 and E K^2, and it is the route every
-  CLI path takes for E K^2;
+  the per-order terms of both E Z^2 and E K^2, which `oracle` prints;
 * pairwalk: direct dynamic programming over the pair of walks (difference
   walk for Z^2, joint state for K^2) with multiplicative collision weights;
   O(N^3) and more, a cross-check only;
 * enumeration: literal sums over all path pairs, or over all environments,
   for small N; a cross-check only.
 
-The routes share no intermediate code beyond the packed layer stencil, which
-is the point: their agreement is the correctness argument.
+The renewal and the expansion share the closed-form collision moments of
+walk.collision_layer_moments; the pair routes share only the packed layer
+stencil.  Their agreement is the correctness argument.
 
 Each CLI path computes its exact moments once per grid point: `simulate` and
 `concentration` through centered_moments (in harness.exact_moments, before
@@ -54,8 +54,8 @@ from .environment import enumerate_environments
 
 # Joint-state pair DP caps (a route only the tests take): O(N * slice^2) costs.
 EK2_PAIRWALK_MAX_N = {1: 512, 2: 48}
-# Collision-expansion caps: an O(N^2) convolution per order after an O(N^2)
-# moment pass.
+# Collision-expansion caps (an O(N^2) convolution per order); harness applies
+# them to the sampler too.
 EXPANSION_MAX_N = {1: 4096, 2: 4096}
 # Orders with relative contribution below this are truncated.
 _ORDER_TAIL_REL = 1e-17
@@ -93,9 +93,9 @@ def _check_args(N: int, c: float, d: int) -> None:
         raise ValueError(f"c must satisfy 0 <= c < 1, got {c}")
 
 
-@np.errstate(over="ignore")  # _fsum_finite refuses the overflowed sum
-def ez2_renewal(N: int, c: float, d: int) -> float:
-    """E[Z^2] = 1 + sum_{i<=N} g(i) by the collision-time renewal.
+@np.errstate(over="ignore")  # callers refuse the overflowed sums
+def _renewal(N: int, c: float, d: int) -> np.ndarray:
+    """Collision-time renewal sequence U(0..N): U(0) = 1, U(i) = g(i) for i >= 1.
 
     g(i) = c^2 q(i) + c^2 sum_{j<i} g(j) q(i - j) sums every collision chain
     whose last collision is at time i, with q(k) = p0(2k, 0).  One dot per
@@ -109,7 +109,12 @@ def ez2_renewal(N: int, c: float, d: int) -> float:
     for i in range(1, N + 1):
         # sum_{j=1}^{i-1} g(j) q(i - j); q(i - j) sits at q_rev[N - i + j].
         g[i - 1] = c2 * (q[i - 1] + float(np.dot(g[: i - 1], q_rev[N - i + 1 :])))
-    return 1.0 + _fsum_finite(g.tolist(), N, c, d)
+    return np.concatenate(([1.0], g))
+
+
+def ez2_renewal(N: int, c: float, d: int) -> float:
+    """E[Z^2] = 1 + sum_{i<=N} g(i) by the collision-time renewal."""
+    return 1.0 + _fsum_finite(_renewal(N, c, d)[1:].tolist(), N, c, d)
 
 
 def ez2_pairwalk(N: int, c: float, d: int) -> float:
@@ -325,16 +330,33 @@ def _check_times(times, N: int) -> np.ndarray:
     return seq
 
 
+@np.errstate(over="ignore", invalid="ignore")  # _fsum_finite refuses overflowed sums
 def centered_moments(N: int, c: float, d: int) -> tuple[float, float]:
-    """(var Z, var K) = (E Z^2 - 1, E K^2 - N^2) from the exact oracles.
+    """(var Z, var K) = (E Z^2 - 1, E K^2 - N^2) from the collision-time renewal.
 
-    var Z uses the O(N^2) collision-time renewal, var K the collision
-    expansion.  harness.exact_moments calls this once per grid point; the
-    reports read its values.  The test suite cross-checks both against the
-    pair DPs and enumeration wherever those run.
+    Summed over orders, the expansion's |y|^2 and |y|^4 chains are renewal
+    convolutions (U = 1, g(1), ..., g(N); q2, q4 the collision moments):
+
+        A2 = c^2 U*U*q2,   A4 = c^2 U*U*q4 + (2 + 4/d) c^4 U*U*U*q2*q2,
+        var K = sum_{i>=1} (N - i)^2 g(i) + 2 (N - i) A2(i) + A4(i).
+
+    var Z is ez2_renewal - 1, bit for bit.  harness.exact_moments calls this
+    once per grid point; the tests cross-check it against the other routes.
     """
-    var_z = ez2_renewal(N, c, d) - 1.0
-    return var_z, ek2_expansion(N, c, d).total - float(N) * N
+    u = _renewal(N, c, d)
+    var_z = (1.0 + _fsum_finite(u[1:].tolist(), N, c, d)) - 1.0
+    cm = walk.collision_layer_moments(d, N)
+
+    def conv(a: np.ndarray, b: np.ndarray) -> np.ndarray:  # in time, truncated at N
+        return np.convolve(a, b)[: N + 1]
+
+    q2, q4 = (np.concatenate(([0.0], m)) for m in (cm.sq, cm.quart))  # index = gap
+    c2, uu = c * c, conv(u, u)
+    a2 = c2 * conv(uu, q2)
+    a4 = c2 * conv(uu, q4) + (2.0 + 4.0 / d) * (c2 * c2) * conv(conv(uu, u), conv(q2, q2))
+    back = (N - np.arange(N + 1)).astype(np.float64)
+    terms = back * back * u + 2.0 * back * a2 + a4
+    return var_z, _fsum_finite(terms[1:].tolist(), N, c, d)
 
 
 def _smallest_dominating_a(total: float, s: float, N: int, scale: float) -> float:
@@ -432,8 +454,8 @@ def pair_enumeration_moments(N: int, c: float, d: int) -> tuple[float, float]:
     _check_args(N, c, d)
     if (2 * d) ** N > 4096:
         raise ValueError("pair enumeration limited to (2d)^N <= 4096 paths")
-    batches = list(engine.path_batches(d, N))
-    (idx, end_sq) = batches[0] if len(batches) == 1 else _merge_batches(batches, N, d)
+    # (2d)^N <= 4096 paths always fit in one batch.
+    idx, end_sq = next(engine.path_batches(d, N))
     paths = end_sq.shape[0]
     # Encode each visited site as a single integer per time step.
     codes = np.empty((paths, N), dtype=np.int64)
@@ -452,22 +474,6 @@ def pair_enumeration_moments(N: int, c: float, d: int) -> tuple[float, float]:
     ez2 = float(w.sum()) * scale
     ek2 = float(end_sq @ w @ end_sq) * scale
     return ez2, ek2
-
-
-def _merge_batches(batches, N, d):
-    idx = []
-    for n in range(N):
-        if d == 1:
-            idx.append(np.concatenate([b[0][n] for b in batches]))
-        else:
-            idx.append(
-                (
-                    np.concatenate([b[0][n][0] for b in batches]),
-                    np.concatenate([b[0][n][1] for b in batches]),
-                )
-            )
-    end_sq = np.concatenate([b[1] for b in batches])
-    return idx, end_sq
 
 
 def environment_average_moments(d: int, horizon: int, c: float) -> dict:

@@ -167,8 +167,8 @@ class CollisionMoments:
     """Per-gap moments of the squared kernel q(gap, y) = p0(gap, y)^2.
 
     Index k holds the value for gap = k+1.  mass = sum_y q, sq = sum |y|^2 q,
-    quart = sum |y|^4 q.  These drive the collision-expansion dynamic
-    programs, which only ever need these three spatial summaries.
+    quart = sum |y|^4 q.  These drive the collision expansion and the E K^2
+    renewal, which only ever need these three spatial summaries.
     """
 
     d: int
@@ -384,32 +384,20 @@ def central_return_sequence(d: int, k_max: int) -> np.ndarray:
 
 
 def collision_layer_moments(d: int, n_max: int) -> CollisionMoments:
-    """Rolling 1-D pass collecting mass/sq/quart of p0(gap, .)^2.
+    """mass/sq/quart of p0(gap, .)^2 for gap = 1..n_max, in closed form, O(n_max).
 
-    Only the binomial layer b_n = p0(n, .) in d = 1 is ever held, so the pass
-    costs O(n_max^2) in both dimensions.  d = 2 factorises in the diagonal
-    coordinates: p0 = b_n (x) b_n and |x|^2 = (u^2 + v^2)/2, so with
-    S_j = sum_u u^j b_n(u)^2 (the d = 1 mass, sq and quart)
-
-        mass = S0^2,  sq = S0 S2,  quart = (S0 S4 + S2^2)/2.
-
-    The direct lattice sums over a dense kernel are the reference in the
-    tests.
+    With b_k = p0(k, .) in d = 1 and S_j(k) = sum_u u^j b_k(u)^2: S0 = p0(2k, 0),
+    S2 = S0 k^2/(2k - 1) and S4 = S0 k^3 (3k - 4)/((2k - 1)(2k - 3)).  d = 2
+    factorises in the diagonal coordinates (p0 = b_k (x) b_k, |x|^2 = (u^2 +
+    v^2)/2): mass = S0^2, sq = S0 S2, quart = (S0 S4 + S2^2)/2.  mass is
+    central_return_sequence(d, n_max) bit for bit.  The direct lattice sums
+    over a dense kernel are the reference in the tests.
     """
     check_dim(d)
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    mass = np.empty(n_max)
-    sq = np.empty(n_max)
-    quart = np.empty(n_max)
-    lay = np.ones(1)
-    for n in range(1, n_max + 1):
-        lay = step_layer(lay, 1)
-        q = lay * lay
-        w = slice_sqnorm(1, n)
-        mass[n - 1] = float(q.sum())
-        sq[n - 1] = float(np.dot(q, w))
-        quart[n - 1] = float(np.dot(q, w * w))
-    if d == 2:
-        mass, sq, quart = mass * mass, mass * sq, 0.5 * (mass * quart + sq * sq)
-    return CollisionMoments(d=d, mass=mass, sq=sq, quart=quart)
+    s0 = central_return_sequence(1, n_max)
+    k = np.arange(1, n_max + 1, dtype=np.float64)
+    s2 = s0 * (k * k / (2.0 * k - 1.0))
+    s4 = s0 * (k ** 3 * (3.0 * k - 4.0) / ((2.0 * k - 1.0) * (2.0 * k - 3.0)))
+    if d == 1:
+        return CollisionMoments(d=d, mass=s0, sq=s2, quart=s4)
+    return CollisionMoments(d=d, mass=s0 * s0, sq=s0 * s2, quart=0.5 * (s0 * s4 + s2 * s2))

@@ -250,9 +250,10 @@ def test_zero_disorder_runs_at_n1_in_d2(capsys):
 
 @pytest.mark.parametrize("command", ["simulate", "concentration"])
 def test_one_exact_moment_pass_per_grid_point(command, capsys, monkeypatch):
-    # Each grid point's E Z^2 and E K^2 are computed once, before any replica.
+    # Each grid point's E Z^2 and E K^2 come from one collision-time renewal,
+    # before any replica; the per-order expansion does not run.
     calls = []
-    for name in ("ez2_renewal", "collision_expansions"):
+    for name in ("_renewal", "collision_expansions"):
         real = getattr(moments, name)
 
         def counted(N, c, d, _real=real, _name=name):
@@ -273,11 +274,20 @@ def test_one_exact_moment_pass_per_grid_point(command, capsys, monkeypatch):
         capsys,
     )
     assert code == 0, err
-    assert sorted(calls[:4]) == [
-        ("collision_expansions", 16), ("collision_expansions", 64),
-        ("ez2_renewal", 16), ("ez2_renewal", 64),
-    ]
-    assert calls[4:] == [("replica", 16), ("replica", 64)]
+    assert calls == [("_renewal", 16), ("_renewal", 64), ("replica", 16), ("replica", 64)]
+
+
+@pytest.mark.parametrize("command", ["simulate", "concentration"])
+def test_sampling_runs_without_the_collision_expansion(command, capsys, monkeypatch):
+    def no_expansion(*args):
+        raise AssertionError("the per-order collision expansion ran on the sampling path")
+
+    monkeypatch.setattr(moments, "collision_expansions", no_expansion)
+    for argv in (["--dim", "1", "--N", "16", "--N", "64"], ["--dim", "2", "--N", "8", "--N", "16"]):
+        code, _, err = run_cli(
+            [command, *argv, "--eps", "0.25", "--replicas", "3", "--seed", "2"], capsys
+        )
+        assert code == 0, err
 
 
 def test_cli_paths_do_not_need_the_pairwalk_dp(capsys, monkeypatch):
@@ -352,6 +362,32 @@ def test_config_file_validation(tmp_path, capsys):
     code, _, err = run_cli(["oracle", "--config", str(cfg), "--dim", "1", "--N", "2", "--c", "0.1"], capsys)
     assert code == 2
     assert "key = value" in err
+
+
+def test_config_file_unknown_keys_refused(tmp_path, capsys, monkeypatch):
+    # Misspelt keys must not fall back to their defaults (100 replicas at
+    # seed 0) unnoticed.
+    monkeypatch.setattr(harness, "simulate_replica", no_sampling)
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("dim = 1\neps = 0.25\nN = 8\nreplica = 3\nsed = 9\n")
+    code, out, err = run_cli(["concentration", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert out == ""
+    assert str(cfg) in err and "replica, sed" in err
+
+
+def test_config_file_serves_several_subcommands(tmp_path, capsys):
+    # Keys another subcommand takes are accepted: oracle ignores the
+    # sampling options, simulate uses them.
+    cfg = tmp_path / "shared.cfg"
+    cfg.write_text("dim = 1\neps-prob = 0.2\nN = 8\nreplicas = 2\nseed = 4\nc = 0.1\nnmax = 9\n")
+    code, out, err = run_cli(["oracle", "--config", str(cfg)], capsys)
+    assert code == 0, err
+    assert json.loads(out)["config"]["N"] == [8]
+    code, out, err = run_cli(["simulate", "--config", str(cfg)], capsys)
+    assert code == 0, err
+    payload = json.loads("{" + out.split("{", 1)[1])
+    assert (payload["config"]["replicas"], payload["config"]["eps_prob"]) == (2, 0.2)
 
 
 def test_threads_env_fallback(monkeypatch):

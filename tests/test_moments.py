@@ -141,17 +141,43 @@ def test_expansion_orders_positive_and_truncation():
     assert exp.truncated or exp.orders.shape[0] == 201
 
 
+def _cancellation_tol(ek2: float) -> float:
+    # Each route rounds E K^2 within a few ulps; var K = E K^2 - N^2 keeps
+    # that absolute error however small var K is.
+    return 16 * np.finfo(float).eps * ek2
+
+
 def test_centered_moments_single_route():
-    # var K comes from the collision expansion at every N; the joint pair DP
-    # is the reference where it runs.
+    # var K comes from the renewal at every N; the collision expansion and
+    # the joint pair DP are references.
     for d, n in ((1, 40), (2, 12)):
         c = 0.3
         var_z, var_k = moments.centered_moments(n, c, d)
-        assert var_k == moments.ek2_expansion(n, c, d).total - float(n) * n
+        ek = moments.ek2_expansion(n, c, d).total
+        assert var_k == pytest.approx(ek - float(n) * n, rel=0.0, abs=_cancellation_tol(ek))
         assert var_k == pytest.approx(
             moments.ek2_pairwalk(n, c, d) - float(n) * n, rel=1e-10, abs=1e-9
         )
         assert var_z == pytest.approx(moments.ez2_pairwalk(n, c, d) - 1.0, rel=1e-12)
+        assert var_z == moments.ez2_renewal(n, c, d) - 1.0
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 37, 4096])
+def test_renewal_var_k_matches_expansion_and_pairwalk(d, n):
+    for c in (0.05, 0.3):
+        _, var_k = moments.centered_moments(n, c, d)
+        ek = moments.ek2_expansion(n, c, d).total
+        assert var_k == pytest.approx(ek - float(n) * n, rel=0.0, abs=_cancellation_tol(ek))
+        if n <= moments.EK2_PAIRWALK_MAX_N[d]:
+            pw = moments.ek2_pairwalk(n, c, d)
+            assert var_k == pytest.approx(pw - float(n) * n, rel=0.0, abs=_cancellation_tol(pw))
+
+
+def test_renewal_var_k_hand_value():
+    # One step: only a collision at time 1 counts, with sum_u u^4 b_1(u)^2 = 1/2.
+    c = 0.1
+    assert moments.centered_moments(1, c, 1)[1] == c * c / 2
 
 
 # `first` names the chain that stops at an earlier order; at (1, 16, 0.35)

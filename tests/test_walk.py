@@ -286,6 +286,20 @@ def test_collision_layer_moments_d2_factorisation_full_depth(kernel2):
         assert q.quart[g - 1] == pytest.approx(float((q2 * sq * sq).sum()), rel=1e-13)
 
 
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 37, 4096])
+def test_collision_layer_moments_closed_form(d, n, monkeypatch):
+    # Closed form, O(n): no layer is stepped or weighted, and the mass is
+    # the collision sequence itself, bit for bit.
+    def no_layers(*args):
+        raise AssertionError("collision_layer_moments built a layer")
+
+    monkeypatch.setattr(walk, "step_layer", no_layers)
+    monkeypatch.setattr(walk, "slice_sqnorm", no_layers)
+    q = walk.collision_layer_moments(d, n)
+    assert np.array_equal(q.mass, walk.central_return_sequence(d, n))
+
+
 def test_build_kernel_validation():
     with pytest.raises(ValueError):
         walk.build_kernel(3, 4)
