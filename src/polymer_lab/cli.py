@@ -170,15 +170,14 @@ def _cmd_kernel_check(resolved: dict) -> int:
         norm_dev = max(norm_dev, abs(float(lay.sum()) - 1.0))
         sym_dev = max(sym_dev, float(np.abs(lay - np.flip(lay)).max()))
         x1 = walk.slice_positions(d, n)[0]
-        odd_dev = max(odd_dev, abs(float((lay * x1).sum())))
+        odd_dev = max(odd_dev, abs(walk.lattice_sum(lay, x1)))
         collision_dev = max(
             collision_dev,
             abs(walk.collision_mass(kernel, n) - kernel.probability(2 * n, (0,) * d)),
         )
-        kinds = ("second", "fourth") if d == 1 else walk.MOMENT_KINDS
-        for kind in kinds:
+        for kind in walk.MOMENT_KINDS[d]:
             ref = walk.closed_form_moment(d, kind, n)
-            got = walk.moment(kernel, walk.MomentSpec(kind, n))
+            got = walk.moment(kernel, kind, n)
             err = abs(got - ref) / max(abs(ref), 1.0)
             moment_errs[kind] = max(moment_errs.get(kind, 0.0), err)
     envelope = walk.residual_envelope(kernel, (1, min(nmax, 64)))
@@ -207,12 +206,11 @@ def _cmd_moments(resolved: dict) -> int:
     d = resolved["dim"]
     nmax = _nmax(resolved, 30, walk.MAX_KERNEL_DEPTH)
     kernel = walk.build_kernel(d, nmax)
-    kinds = ("second", "fourth") if d == 1 else walk.MOMENT_KINDS
     rows = []
     for n in range(1, nmax + 1):
         row = {"n": n}
-        for kind in kinds:
-            row[kind] = walk.moment(kernel, walk.MomentSpec(kind, n))
+        for kind in walk.MOMENT_KINDS[d]:
+            row[kind] = walk.moment(kernel, kind, n)
             row[kind + "_closed_form"] = walk.closed_form_moment(d, kind, n)
         rows.append(row)
     payload = {"config": {"command": "moments", "dim": d, "nmax": nmax}, "rows": rows}

@@ -18,17 +18,15 @@ both are elementwise, so every row gets the bits a single layer would.  The
 signs serve both the weight multiply and the order-one chaos term
 f_n = c sum_x h(n, x) p0(n, x) of Z - 1.  The layer sums (overflow guard)
 and the sums of h * p0 are one row reduction each over the block: numpy's
-pairwise sum of every contiguous row, the order a lone row gets too.  A
-block's working arrays live in buffers allocated once per block and sized
-by _BLOCK_BYTES, and evolve_replicas yields the final layers block by
-block, so a caller that consumes each layer as it comes holds the memory
-of one block however many environments it runs.  evolve_density is the
-pass over one environment.
+pairwise sum of every contiguous row, the order walk.lattice_sum gives a
+lone row.  A block's working arrays live in buffers allocated once per block
+and sized by _BLOCK_BYTES, and evolve_replicas yields the final layers block
+by block, so a caller that consumes each layer as it comes holds the memory
+of one block however many environments it runs.  evolve_density is the pass
+over one environment.
 
-No sum here goes through BLAS: a BLAS dot splits long vectors across its
-threads, which changes the order of the sum with the thread count.  K in
-observables and brute_force_observables is likewise the pairwise sum of an
-elementwise product.
+No sum here goes through BLAS (walk.lattice_sum says why): K in observables
+is walk.lattice_sum, and brute_force_observables sums its paths pairwise too.
 
 brute_force_observables enumerates all (2d)^N paths directly and is the
 independent check for the recursion on small N.
@@ -143,7 +141,7 @@ def _evolve_block(envs, c: float, N: int) -> list[DensityLayer]:
         weights += 1.0
         lays *= weights
         # Row reductions over the flat (count, m) view: numpy's pairwise sum
-        # of each contiguous row, the bits a lone layer's sum gets.
+        # of each contiguous row, the bits walk.lattice_sum gives a lone row.
         sums = lays.reshape(count, m).sum(axis=1)
         if not np.all(sums <= DENSITY_SUM_LIMIT):
             raise OverflowError(f"density sum {sums.max()} exceeded {DENSITY_SUM_LIMIT} at step {n}")
@@ -166,7 +164,7 @@ def observables(layer: DensityLayer) -> PolymerObservables:
     z = float(layer.values.sum())
     if not z > 0.0:
         raise ValueError(f"partition sum must be positive, got {z}")
-    k = float((layer.values.ravel() * walk.slice_sqnorm(layer.d, layer.n).ravel()).sum())
+    k = walk.lattice_sum(layer.values, walk.slice_sqnorm(layer.d, layer.n))
     return PolymerObservables(Z=z, K=k, msd=k / z)
 
 

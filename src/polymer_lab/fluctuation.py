@@ -20,8 +20,8 @@ The sampler takes sum_k f_k from the density recursion itself
 (engine.evolve_replicas rolls p0 next to the polymer layers).
 linear_components computes the same f_k from a dense TransitionKernel; it
 is the independent reference the tests compare the recursion against.  Both
-routes sum each f_k as numpy's pairwise sum of the products h * p0, never as
-a BLAS dot, so they agree bit for bit at any BLAS thread count.
+routes sum each f_k in the fixed order of walk.lattice_sum, so they agree bit
+for bit at any BLAS thread count.
 """
 
 from __future__ import annotations
@@ -36,11 +36,6 @@ from . import moments, walk
 
 # Large-N limits of the normalized linear-term variance.
 SIGMA2_LIMIT = {1: 2.0 / math.sqrt(math.pi), 2: 1.0 / math.pi}
-
-
-def collision_scale(d: int, N: int) -> float:
-    """sqrt(N) (d = 1) or log N (d = 2); c^2 times it is the collision scale."""
-    return math.sqrt(N) if d == 1 else math.log(N)
 
 
 @dataclass(frozen=True)
@@ -75,7 +70,7 @@ class ScalingRule:
             c = self.c_of(N)
         if not c > 0.0:
             raise ValueError("normalizer undefined at c = 0")
-        s = c * c * collision_scale(self.d, N)
+        s = c * c * walk.collision_scale(self.d, N)
         # Below the smallest normal float, 1/s overflows or s is 0.
         if not s >= sys.float_info.min:
             raise ValueError(
@@ -106,7 +101,7 @@ def linear_components(env, c: float, N: int, kernel: walk.TransitionKernel) -> n
         raise ValueError(f"c must satisfy 0 <= c < 1, got {c}")
     out = np.empty(N)
     for k in range(1, N + 1):
-        out[k - 1] = c * float((kernel.layer(k).ravel() * env.slice_signs(k).ravel()).sum())
+        out[k - 1] = c * walk.lattice_sum(kernel.layer(k), env.slice_signs(k))
     return out
 
 
@@ -141,4 +136,4 @@ def limit_variance(d: int, N: int) -> float:
     if N < 1 or (d == 2 and N < 2):
         raise ValueError(f"N = {N} out of range for d = {d}")
     returns = walk.central_return_sequence(d, N)
-    return math.fsum(returns.tolist()) / collision_scale(d, N)
+    return math.fsum(returns.tolist()) / walk.collision_scale(d, N)

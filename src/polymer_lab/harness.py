@@ -40,6 +40,9 @@ CSV_COLUMNS = (
     "linear",
     "remainder",
 )
+# Largest N the sampler runs (a d = 2 layer at N = 4096 is 134 MB);
+# exact_moments has no cap.
+SAMPLER_MAX_N = {1: 4096, 2: 4096}
 
 
 @dataclass(frozen=True)
@@ -76,9 +79,13 @@ class ExperimentConfig:
             c = self.c_of(n)
             if c > 0.0:
                 rule.a_of(n, c)
-        # The cap bounds the sampler (a d = 2 layer at N = 4096 is 134 MB);
-        # exact_moments has none.  Refused before any replica is sampled.
-        moments.check_expansion_cap(self.n_grid[-1], self.d)
+        # Refused before any replica is sampled.
+        cap = SAMPLER_MAX_N[self.d]
+        if self.n_grid[-1] > cap:
+            raise ValueError(
+                f"N = {self.n_grid[-1]} is above the sampler's cap N <= {cap} "
+                f"for d = {self.d}; choose --N <= {cap}"
+            )
 
     def rule(self) -> fluctuation.ScalingRule:
         return fluctuation.scaling(self.d, self.eps)

@@ -34,8 +34,8 @@ Every quantity here is computed by at least two genuinely different routes:
   for small N; a cross-check only.
 
 The renewal and the expansion share the closed-form collision moments of
-walk.collision_layer_moments; the pair routes share only the packed layer
-stencil.  Their agreement is the correctness argument.
+walk.collision_layer_moments; the pair routes step their own difference-walk
+and joint-state stencils.  Their agreement is the correctness argument.
 
 Each CLI path computes its exact moments once per grid point: `simulate` and
 `concentration` through centered_moments (in harness.exact_moments, before
@@ -54,8 +54,8 @@ from .environment import enumerate_environments
 
 # Joint-state pair DP caps (a route only the tests take): O(N * slice^2) costs.
 EK2_PAIRWALK_MAX_N = {1: 512, 2: 48}
-# Collision-expansion caps (an O(N^2) convolution per order); harness applies
-# them to the sampler too.
+# Collision-expansion caps (an O(N^2) convolution per order); they bound
+# `oracle`.
 EXPANSION_MAX_N = {1: 4096, 2: 4096}
 # Orders with relative contribution below this are truncated.
 _ORDER_TAIL_REL = 1e-17
@@ -318,7 +318,7 @@ def weighted_fourth_sum_direct(times, N: int, d: int) -> float:
     i_n = int(seq[-1])
     sq = walk.slice_sqnorm(d, i_n)
     w = (N - i_n) ** 2 + 2.0 * (N - i_n) * sq + sq * sq
-    return float(np.dot(dist.ravel(), w.ravel()))
+    return walk.lattice_sum(dist, w)
 
 
 def _check_times(times, N: int) -> np.ndarray:
@@ -427,10 +427,8 @@ class Calibration:
 
 def calibrate(N: int, c: float, d: int) -> Calibration:
     """One collision-expansion pass and the domination constants of its orders."""
-    from .fluctuation import collision_scale  # fluctuation imports this module
-
     ez, ek = collision_expansions(N, c, d)
-    s = c * c * collision_scale(d, N)
+    s = c * c * walk.collision_scale(d, N)
     if s == 0.0:
         return Calibration(ez, ek, s, 0.0, 0.0, 0.0, 0.0)
     n2 = float(N) * N

@@ -1,9 +1,9 @@
 """Streaming moment accumulation and small distribution diagnostics.
 
 RunningMoments keeps count/mean and 2nd..4th central moment sums with
-single-pass updates and pairwise merge, so replica summaries never need the
-full sample in memory.  The Kolmogorov-Smirnov distance is against a fully
-specified normal null (erf-based CDF), which is all the harness needs.
+single-pass updates, one value at a time.  The Kolmogorov-Smirnov distance is
+against a fully specified normal null (erf-based CDF), which is all the
+harness needs.
 """
 
 from __future__ import annotations
@@ -43,36 +43,6 @@ class RunningMoments:
     def extend(self, xs) -> "RunningMoments":
         for x in xs:
             self.update(float(x))
-        return self
-
-    def merge(self, other: "RunningMoments") -> "RunningMoments":
-        """Combine two independent accumulations (order independent)."""
-        if other.count == 0:
-            return self
-        if self.count == 0:
-            self.count, self.mean = other.count, other.mean
-            self.m2, self.m3, self.m4 = other.m2, other.m3, other.m4
-            return self
-        na, nb = self.count, other.count
-        n = na + nb
-        delta = other.mean - self.mean
-        d_n = delta / n
-        m2 = self.m2 + other.m2 + delta * d_n * na * nb
-        m3 = (
-            self.m3
-            + other.m3
-            + delta * d_n * d_n * na * nb * (na - nb)
-            + 3.0 * d_n * (na * other.m2 - nb * self.m2)
-        )
-        m4 = (
-            self.m4
-            + other.m4
-            + delta * d_n ** 3 * na * nb * (na * na - na * nb + nb * nb)
-            + 6.0 * d_n * d_n * (na * na * other.m2 + nb * nb * self.m2)
-            + 4.0 * d_n * (na * other.m3 - nb * self.m3)
-        )
-        self.count, self.mean = n, self.mean + d_n * nb
-        self.m2, self.m3, self.m4 = m2, m3, m4
         return self
 
     def variance(self, ddof: int = 1) -> float:

@@ -24,7 +24,12 @@ MAX_KERNEL_DEPTH = 2 ** 15
 # Refuse kernels whose dense layers would not fit comfortably in memory.
 MAX_KERNEL_BYTES = 1_250_000_000
 
-MOMENT_KINDS = ("second", "fourth", "partial-second", "partial-fourth", "cross")
+# The lattice moments each dimension has: |x|^2 and |x|^4 in both; in d = 2
+# also the single-coordinate x1^2 and x1^4 and the cross term x1^2 x2^2.
+MOMENT_KINDS = {
+    1: ("second", "fourth"),
+    2: ("second", "fourth", "partial-second", "partial-fourth", "cross"),
+}
 
 
 def check_dim(d: int) -> None:
@@ -66,8 +71,9 @@ def step_layer(layer: np.ndarray, d: int, out: np.ndarray | None = None) -> np.n
     """One nearest-neighbour convolution step in packed coordinates.
 
     Maps the packed slice at time n to the packed slice at time n+1.  Shared
-    by the kernel builder, the polymer density recursion and the pair-walk
-    dynamic programs so that every consumer applies the identical stencil.
+    by the kernel builder, the polymer density recursion and
+    moments.weighted_fourth_sum_direct, so that all three apply the identical
+    stencil (the pair-walk dynamic programs keep their own).
     Leading axes of layer are a stack of slices, each stepped alone, bit for
     bit as on its own.  out, if given, receives the result and must have its
     shape.
@@ -117,23 +123,16 @@ def slice_sqnorm(d: int, n: int) -> np.ndarray:
     return sum(x * x for x in slice_positions(d, n)).astype(np.float64)
 
 
-@dataclass(frozen=True)
-class MomentSpec:
-    """A lattice moment request: kind in MOMENT_KINDS, evaluated at time n.
+def lattice_sum(layer: np.ndarray, weights: np.ndarray) -> float:
+    """sum_x layer(x) weights(x): numpy's pairwise sum of the elementwise product.
 
-    "second" and "fourth" are |x|^2 and |x|^4 sums; the "partial-*" kinds are
-    single-coordinate moments x1^2 and x1^4 and "cross" is x1^2 x2^2, all of
-    which require d = 2.
+    Every single-layer lattice sum goes through here, never through a BLAS
+    dot: a BLAS dot splits vectors longer than about 10 000 elements (d = 2
+    slices at n >= 100) across its threads, which changes the order of the
+    sum with the BLAS thread count.  The pairwise order is fixed by the
+    length alone.
     """
-
-    kind: str
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.kind not in MOMENT_KINDS:
-            raise ValueError(f"unknown moment kind {self.kind!r}")
-        if self.n < 1:
-            raise ValueError("moment time must be >= 1")
+    return float((layer.ravel() * weights.ravel()).sum())
 
 
 @dataclass(frozen=True)
@@ -268,82 +267,63 @@ def residual_envelope(kernel: TransitionKernel, n_range: tuple[int, int]) -> Res
     return ResidualEnvelope(d=d, n_lo=n_lo, n_hi=n_hi, flat=flat, tail=tail)
 
 
-def moment(kernel: TransitionKernel, spec: MomentSpec) -> float:
-    """Direct lattice sum of the requested monomial against p0(n, .)."""
-    if spec.n > kernel.n_max:
-        raise ValueError(f"time {spec.n} outside kernel range")
-    d = kernel.d
-    if d == 1 and spec.kind not in ("second", "fourth"):
-        raise ValueError(f"moment kind {spec.kind!r} requires d = 2")
-    lay = kernel.layer(spec.n)
-    if spec.kind == "second":
-        w = slice_sqnorm(d, spec.n)
-    elif spec.kind == "fourth":
-        w = slice_sqnorm(d, spec.n) ** 2
-    else:
-        x1, x2 = slice_positions(2, spec.n)
-        if spec.kind == "partial-second":
-            w = (x1 * x1).astype(np.float64)
-        elif spec.kind == "partial-fourth":
-            w = (x1 * x1 * x1 * x1).astype(np.float64)
-        else:  # cross
-            w = (x1 * x1 * x2 * x2).astype(np.float64)
-    return float(np.dot(lay.ravel(), w.ravel()))
-
-
-def closed_form_moment(d: int, kind: str, n: int) -> float:
-    """Reference closed forms for the moment sums (exact integers/rationals)."""
+def _moment_args(d: int, kind: str, n: int, shift) -> tuple[int, ...]:
+    """Check a moment request; return the shift y as a point (the origin if None)."""
     check_dim(d)
-    if kind not in MOMENT_KINDS:
+    if kind not in MOMENT_KINDS[2]:
         raise ValueError(f"unknown moment kind {kind!r}")
-    if d == 1:
-        if kind == "second":
-            return float(n)
-        if kind == "fourth":
-            return float(3 * n * n - 2 * n)
+    if kind not in MOMENT_KINDS[d]:
         raise ValueError(f"moment kind {kind!r} requires d = 2")
+    if n < 1:
+        raise ValueError("moment time must be >= 1")
+    if shift is None:
+        return (0,) * d
+    if kind not in ("second", "fourth"):
+        raise ValueError(f"moment kind {kind!r} takes no shift")
+    return as_point(shift, d)
+
+
+def moment(kernel: TransitionKernel, kind: str, n: int, shift=None) -> float:
+    """Direct lattice sum of a monomial of x + y against p0(n, x), y = shift.
+
+    "second" and "fourth" are |x + y|^2 and |x + y|^4; the d = 2 kinds
+    "partial-second", "partial-fourth" and "cross" are x1^2, x1^4 and
+    x1^2 x2^2 and take no shift.
+    """
+    y = _moment_args(kernel.d, kind, n, shift)
+    if n > kernel.n_max:
+        raise ValueError(f"time {n} outside kernel range")
+    pos = [x + c for x, c in zip(slice_positions(kernel.d, n), y)]
+    if kind in ("second", "fourth"):
+        w = sum(x * x for x in pos)
+        if kind == "fourth":
+            w = w * w
+    elif kind == "cross":
+        w = pos[0] * pos[0] * pos[1] * pos[1]
+    else:
+        w = pos[0] ** (2 if kind == "partial-second" else 4)
+    return lattice_sum(kernel.layer(n), w.astype(np.float64))
+
+
+def closed_form_moment(d: int, kind: str, n: int, shift=None) -> float:
+    """Closed forms of the moment sums (exact integers/rationals).
+
+    Shifted by y: n + |y|^2 and 3n^2 - 2n + 6|y|^2 n + |y|^4 (d = 1) or
+    2n^2 - n + 4|y|^2 n + |y|^4 (d = 2); y = 0 when shift is None.
+    """
+    y = _moment_args(d, kind, n, shift)
+    ysq = sum(c * c for c in y)
     if kind == "second":
-        return float(n)
+        return float(n + ysq)
     if kind == "fourth":
-        return float(2 * n * n - n)
+        if d == 1:
+            return float(3 * n * n - 2 * n + 6 * ysq * n + ysq * ysq)
+        return float(2 * n * n - n + 4 * ysq * n + ysq * ysq)
     if kind == "partial-second":
         return n / 2.0
     if kind == "partial-fourth":
         return (3 * n * n - n) / 4.0
     return n * (n - 1) / 4.0  # cross
-
-
-def shifted_moment(kernel: TransitionKernel, m: int, y, order: int) -> float:
-    """sum_x |x|^order p0(m, x - y), evaluated as a direct lattice sum."""
-    if order not in (2, 4):
-        raise ValueError("order must be 2 or 4")
-    if not 1 <= m <= kernel.n_max:
-        raise ValueError(f"time {m} outside kernel range")
-    pt = as_point(y, kernel.d)
-    lay = kernel.layer(m)
-    if kernel.d == 1:
-        (z,) = slice_positions(1, m)
-        shifted = (z + pt[0]).astype(np.float64)
-        w = shifted ** order
-    else:
-        z1, z2 = slice_positions(2, m)
-        sq = ((z1 + pt[0]) ** 2 + (z2 + pt[1]) ** 2).astype(np.float64)
-        w = sq if order == 2 else sq * sq
-    return float(np.dot(lay.ravel(), w.ravel()))
-
-
-def shifted_moment_closed_form(d: int, m: int, y, order: int) -> float:
-    """Closed forms for shifted moments: order 2 is m + |y|^2 in both d."""
-    check_dim(d)
-    pt = as_point(y, d)
-    ysq = float(sum(c * c for c in pt))
-    if order == 2:
-        return m + ysq
-    if order != 4:
-        raise ValueError("order must be 2 or 4")
-    if d == 1:
-        return 3.0 * m * m - 2.0 * m + 6.0 * ysq * m + ysq * ysq
-    return 2.0 * m * m - m + 4.0 * ysq * m + ysq * ysq
 
 
 def collision_mass(kernel: TransitionKernel, n: int) -> float:
@@ -353,7 +333,7 @@ def collision_mass(kernel: TransitionKernel, n: int) -> float:
     if 2 * n > kernel.n_max:
         raise ValueError(f"collision check at n={n} needs kernel depth {2 * n}")
     lay = kernel.layer(n)
-    return float(np.dot(lay.ravel(), lay.ravel()))
+    return lattice_sum(lay, lay)
 
 
 def return_probability(d: int, n: int) -> float:
@@ -381,6 +361,11 @@ def central_return_sequence(d: int, k_max: int) -> np.ndarray:
     j = np.arange(1, k_max + 1, dtype=np.float64)
     p = np.cumprod((2.0 * j - 1.0) / (2.0 * j))
     return p if d == 1 else p * p
+
+
+def collision_scale(d: int, N: int) -> float:
+    """sqrt(N) (d = 1) or log N (d = 2); c^2 times it is the collision scale."""
+    return math.sqrt(N) if d == 1 else math.log(N)
 
 
 def collision_layer_moments(d: int, n_max: int) -> CollisionMoments:

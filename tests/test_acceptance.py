@@ -75,16 +75,15 @@ def test_criterion_1_kernel_identities():
     worst_norm = worst_coll = worst_mom = 0.0
     for d in (1, 2):
         kernel = walk.build_kernel(d, 100)
-        kinds = ("second", "fourth") if d == 1 else walk.MOMENT_KINDS
         for n in range(1, 51):
             worst_norm = max(worst_norm, abs(float(kernel.layer(n).sum()) - 1.0))
             worst_coll = max(
                 worst_coll,
                 abs(walk.collision_mass(kernel, n) - kernel.probability(2 * n, (0,) * d)),
             )
-            for kind in kinds:
+            for kind in walk.MOMENT_KINDS[d]:
                 ref = walk.closed_form_moment(d, kind, n)
-                got = walk.moment(kernel, walk.MomentSpec(kind, n))
+                got = walk.moment(kernel, kind, n)
                 worst_mom = max(worst_mom, abs(got - ref) / max(abs(ref), 1.0))
     ok = worst_norm < 1e-12 and worst_coll < 1e-12 and worst_mom < 1e-9
     assert _report(

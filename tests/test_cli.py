@@ -152,6 +152,22 @@ def test_simulate_bytes_do_not_depend_on_blas_threads(tmp_path, polymer_lab_cli)
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["moments", "--dim", "2", "--nmax", "120"], ["kernel-check", "--dim", "2", "--nmax", "110"]],
+)
+def test_kernel_diagnostics_do_not_depend_on_blas_threads(argv, polymer_lab_cli):
+    # Both commands sum d = 2 layers of more than 10^4 sites from n = 100 on.
+    outputs = []
+    for threads in ("1", "2"):
+        proc = polymer_lab_cli(
+            *argv, extra_env={"OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+
+
 def test_simulate_stdout_without_out(capsys):
     code, out, _ = run_cli(
         ["simulate", "--dim", "1", "--N", "4", "--eps", "0.25", "--replicas", "2", "--seed", "1"],
@@ -188,7 +204,7 @@ def test_simulate_refuses_n_above_moment_cap(dim, n, cap, capsys, monkeypatch):
     )
     assert code == 2
     assert out == ""
-    assert f"N <= {cap}" in err and "--N" in err
+    assert f"sampler's cap N <= {cap}" in err and "--N" in err
 
 
 @pytest.mark.parametrize("dim", ["1", "2"])

@@ -37,9 +37,9 @@ def test_config_validation():
     harness.ExperimentConfig(
         d=2, eps=0.25, n_grid=(1, 4), replicas=2, master_seed=0, c_override=0.0
     )
-    for d, cap in moments.EXPANSION_MAX_N.items():
+    for d, cap in harness.SAMPLER_MAX_N.items():
         harness.ExperimentConfig(d=d, eps=0.25, n_grid=(cap,), replicas=1, master_seed=0)
-        with pytest.raises(ValueError, match=f"N <= {cap}"):
+        with pytest.raises(ValueError, match=f"sampler's cap N <= {cap}"):
             harness.ExperimentConfig(d=d, eps=0.25, n_grid=(8, cap + 1), replicas=1, master_seed=0)
 
 

@@ -21,44 +21,6 @@ def test_running_moments_match_numpy(xs):
     assert acc.variance(ddof=1) == pytest.approx(float(arr.var(ddof=1)), rel=1e-7, abs=1e-5)
 
 
-def _rounding_tol(xs, p):
-    """Float64 rounding scale of the central moment sum M_p of xs.
-
-    Both routes round each step relative to eps * sum |x - mean|^p, and the
-    rounding of the running mean (eps * max|x|) shifts every deviation, which
-    adds eps * max|x| * sum |x - mean|^(p-1).  Below the smallest normal float
-    only absolute rounding is left.  Each of the n updates contributes at
-    most a few such units, so k = 4n.
-    """
-    arr = np.asarray(xs)
-    dev = np.abs(arr - arr.mean())
-    scale = np.sum(dev ** p) + np.max(np.abs(arr)) * np.sum(dev ** (p - 1))
-    info = np.finfo(np.float64)
-    return 4 * len(xs) * (info.eps * float(scale) + info.tiny)
-
-
-@given(st.lists(finite_floats, min_size=4, max_size=120), st.integers(min_value=1, max_value=80))
-@settings(max_examples=50, deadline=None)
-def test_merge_equals_sequential(xs, cut_raw):
-    cut = cut_raw % (len(xs) - 1) + 1
-    whole = stats.RunningMoments().extend(xs)
-    left = stats.RunningMoments().extend(xs[:cut])
-    right = stats.RunningMoments().extend(xs[cut:])
-    merged = left.merge(right)
-    assert merged.count == whole.count
-    assert merged.mean == pytest.approx(whole.mean, rel=1e-9, abs=1e-6)
-    assert merged.m2 == pytest.approx(whole.m2, rel=1e-7, abs=1e-4)
-    assert merged.m3 == pytest.approx(whole.m3, rel=1e-5, abs=_rounding_tol(xs, 3))
-    assert merged.m4 == pytest.approx(whole.m4, rel=1e-5, abs=_rounding_tol(xs, 4))
-
-
-def test_merge_with_empty():
-    a = stats.RunningMoments().extend([1.0, 2.0, 3.0])
-    b = stats.RunningMoments()
-    assert b.merge(a).mean == a.mean
-    assert a.merge(stats.RunningMoments()).count == 3
-
-
 def test_skewness_kurtosis_against_scipy():
     rng = np.random.default_rng(7)
     xs = rng.gamma(2.0, size=4000)

@@ -75,23 +75,30 @@ def test_d2_factorizes_into_diagonal_walks(kernel2):
 @pytest.mark.parametrize("d", [1, 2])
 def test_moment_closed_forms(d, kernel1, kernel2):
     kernel = kernel1 if d == 1 else kernel2
-    kinds = ("second", "fourth") if d == 1 else walk.MOMENT_KINDS
     for n in range(1, 51):
-        for kind in kinds:
-            got = walk.moment(kernel, walk.MomentSpec(kind, n))
+        for kind in walk.MOMENT_KINDS[d]:
+            got = walk.moment(kernel, kind, n)
             ref = walk.closed_form_moment(d, kind, n)
             assert got == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
 
 def test_moment_kind_validation(kernel1):
     with pytest.raises(ValueError):
-        walk.MomentSpec("sixth", 3)
+        walk.moment(kernel1, "sixth", 3)
     with pytest.raises(ValueError):
-        walk.MomentSpec("second", 0)
+        walk.moment(kernel1, "second", 0)
     with pytest.raises(ValueError):
-        walk.moment(kernel1, walk.MomentSpec("cross", 3))
+        walk.moment(kernel1, "cross", 3)
     with pytest.raises(ValueError):
         walk.closed_form_moment(1, "partial-second", 3)
+    # The same check guards both routines.
+    with pytest.raises(ValueError):
+        walk.closed_form_moment(2, "sixth", 3)
+    with pytest.raises(ValueError):
+        walk.closed_form_moment(1, "second", 0)
+    # Only |x + y|^2 and |x + y|^4 take a shift.
+    with pytest.raises(ValueError, match="no shift"):
+        walk.closed_form_moment(2, "cross", 3, shift=(1, 0))
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -232,11 +239,11 @@ def test_residual_envelope_bounds_hold(kernel1):
 @given(
     d=st.sampled_from([1, 2]),
     m=st.integers(min_value=1, max_value=20),
-    order=st.sampled_from([2, 4]),
+    kind=st.sampled_from(["second", "fourth"]),
     data=st.data(),
 )
 @settings(max_examples=60, deadline=None)
-def test_shifted_moment_closed_form(d, m, order, data, kernel1, kernel2):
+def test_shifted_moment_closed_form(d, m, kind, data, kernel1, kernel2):
     kernel = kernel1 if d == 1 else kernel2
     if d == 1:
         y = (data.draw(st.integers(min_value=-6, max_value=6)),)
@@ -245,16 +252,16 @@ def test_shifted_moment_closed_form(d, m, order, data, kernel1, kernel2):
             data.draw(st.integers(min_value=-4, max_value=4)),
             data.draw(st.integers(min_value=-4, max_value=4)),
         )
-    got = walk.shifted_moment(kernel, m, y, order)
-    ref = walk.shifted_moment_closed_form(d, m, y, order)
+    got = walk.moment(kernel, kind, m, shift=y)
+    ref = walk.closed_form_moment(d, kind, m, shift=y)
     assert got == pytest.approx(ref, rel=1e-11, abs=1e-11)
 
 
 def test_shifted_moment_hand_values():
     # E|y + w(m)|^2 = |y|^2 + m; fourth moments from the binomial formulas
-    assert walk.shifted_moment_closed_form(1, 2, (1,), 2) == 3.0
-    assert walk.shifted_moment_closed_form(1, 2, (1,), 4) == 21.0
-    assert walk.shifted_moment_closed_form(2, 1, (1, 0), 4) == 6.0
+    assert walk.closed_form_moment(1, "second", 2, shift=(1,)) == 3.0
+    assert walk.closed_form_moment(1, "fourth", 2, shift=(1,)) == 21.0
+    assert walk.closed_form_moment(2, "fourth", 1, shift=(1, 0)) == 6.0
 
 
 @pytest.mark.parametrize("d", [1, 2])
