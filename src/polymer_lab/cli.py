@@ -5,8 +5,9 @@ Every run echoes its fully resolved configuration in the JSON output header,
 and identical invocations produce byte-identical output.  Exit codes:
 0 success, 2 argument/validation error, 3 failed --check.
 
-A flat key=value config file (--config) supplies defaults; explicit flags
-win.  --threads falls back to the POLYMER_LAB_THREADS environment variable.
+A flat key=value config file (--config) supplies defaults, each value parsed
+as its flag's is; explicit flags win.  --threads falls back to the
+POLYMER_LAB_THREADS environment variable.
 """
 
 from __future__ import annotations
@@ -24,50 +25,49 @@ from . import fluctuation, harness, moments, walk
 
 _CHECK_EXIT = 3
 
+# Every run option, by its config-file key, with its argparse settings.  A
+# config file's value is parsed by the same type as the flag's.
+_OPTIONS = {
+    "dim": dict(type=int, help="lattice dimension (1 or 2)"),
+    "N": dict(type=int, action="append", help="horizon; repeat for a grid"),
+    "eps": dict(type=float, help="scaling exponent margin"),
+    "c": dict(type=float, help="override disorder strength"),
+    "nmax": dict(type=int, help="largest time to check"),
+    "replicas": dict(type=int),
+    "seed": dict(type=int, help="master seed"),
+    "threads": dict(type=int, help="worker process count"),
+    "eps_prob": dict(type=float),
+    "check": dict(action="store_true"),
+    "out": dict(type=str, help="output file or directory"),
+}
+_TRUE, _FALSE = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
+
+
+def _boolean(word: str) -> bool:
+    """A config-file value for a store_true flag."""
+    if word.lower() not in _TRUE + _FALSE:
+        raise ValueError(word)
+    return word.lower() in _TRUE
+
 
 def _parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="polymer-lab")
     sub = top.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, *names: str) -> None:
-        if "dim" in names:
-            p.add_argument("--dim", type=int, default=None, help="lattice dimension (1 or 2)")
-        if "N" in names:
-            p.add_argument(
-                "--N", type=int, action="append", default=None, help="horizon; repeat for a grid"
-            )
-        if "eps" in names:
-            p.add_argument("--eps", type=float, default=None, help="scaling exponent margin")
-        if "c" in names:
-            p.add_argument("--c", type=float, default=None, help="override disorder strength")
-        if "nmax" in names:
-            p.add_argument("--nmax", type=int, default=None, help="largest time to check")
-        if "replicas" in names:
-            p.add_argument("--replicas", type=int, default=None)
-        if "seed" in names:
-            p.add_argument("--seed", type=int, default=None, help="master seed")
-        if "threads" in names:
-            p.add_argument("--threads", type=int, default=None, help="worker process count")
-        if "eps-prob" in names:
-            p.add_argument("--eps-prob", dest="eps_prob", type=float, default=None)
-        if "check" in names:
-            p.add_argument("--check", action="store_true", default=False)
-        p.add_argument("--out", type=str, default=None, help="output file or directory")
-        p.add_argument("--config", type=str, default=None, help="flat key=value config file")
-
-    common(sub.add_parser("kernel-check"), "dim", "nmax")
-    common(sub.add_parser("moments"), "dim", "nmax")
-    common(sub.add_parser("oracle"), "dim", "N", "eps", "c")
-    common(sub.add_parser("simulate"), "dim", "N", "eps", "c", "replicas", "seed", "threads", "eps-prob", "check")
-    common(sub.add_parser("clt"), "dim", "N", "eps", "c")
-    common(sub.add_parser("concentration"), "dim", "N", "eps", "c", "replicas", "seed", "threads", "eps-prob", "check")
+    for command, (_, names) in _COMMANDS.items():
+        p = sub.add_parser(command)
+        for name in (*names, "out"):
+            p.add_argument("--" + name.replace("_", "-"), **_OPTIONS[name])
+        p.add_argument("--config", help="flat key=value config file")
     return top
 
 
 def load_config(path: str) -> dict:
     """Flat key = value lines; '#' comments; N accepts comma lists or repeats.
-    A key that no subcommand takes is refused."""
+    Each value is parsed as its flag's is; a store_true flag takes
+    1/true/yes/on or 0/false/no/off.  A key that no subcommand takes, and a
+    value that does not parse, are refused naming the file and the key."""
     out: dict = {}
+    unknown = []
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -76,44 +76,33 @@ def load_config(path: str) -> dict:
             raise ValueError(f"config line {raw!r} is not key = value")
         key, val = (part.strip() for part in line.split("=", 1))
         key = key.replace("-", "_")
-        if key == "N":
-            vals = out.get("N", [])
-            vals.extend(int(v) for v in val.replace(",", " ").split())
-            out["N"] = vals
-        else:
-            out[key] = val
-    unknown = sorted(set(out) - _INT_KEYS - _FLOAT_KEYS - {"N", "check", "out"})
+        if key not in _OPTIONS:
+            unknown.append(key)
+            continue
+        parse = _OPTIONS[key].get("type", _boolean)
+        try:
+            if key == "N":  # no value at all is parsed as one empty value, and refused
+                out.setdefault("N", []).extend(map(parse, val.replace(",", " ").split() or [val]))
+            else:
+                out[key] = parse(val)
+        except ValueError:
+            flag = "--" + key.replace("_", "-")
+            raise ValueError(
+                f"config file {path}: {key} = {val!r} is not a valid {flag} value"
+            ) from None
     if unknown:
-        raise ValueError(f"config file {path} has unknown keys: {', '.join(unknown)}")
+        raise ValueError(f"config file {path} has unknown keys: {', '.join(sorted(unknown))}")
     return out
 
 
-_INT_KEYS = {"dim", "nmax", "replicas", "seed", "threads"}
-_FLOAT_KEYS = {"eps", "c", "eps_prob"}
-
-
 def _resolve(args: argparse.Namespace) -> dict:
-    cfg = load_config(args.config) if getattr(args, "config", None) else {}
-    resolved: dict = {}
-    for key, val in vars(args).items():
-        if key in ("command", "config"):
-            continue
-        if val is None or (key == "check" and val is False):
-            raw = cfg.get(key)
-            if raw is not None:
-                if key == "N":
-                    val = list(raw)
-                elif key in _INT_KEYS:
-                    val = int(raw)
-                elif key in _FLOAT_KEYS:
-                    val = float(raw)
-                elif key == "check":
-                    val = str(raw).lower() in ("1", "true", "yes", "on")
-                else:
-                    val = raw
-            elif key == "check":
-                val = False
-        resolved[key] = val
+    """Each option of the subcommand: the flag, else the config value."""
+    cfg = load_config(args.config) if args.config else {}
+    resolved = {
+        key: cfg.get(key, val) if val is None or val is False else val
+        for key, val in vars(args).items()
+        if key not in ("command", "config")
+    }
     if resolved.get("threads") is None:
         env_threads = os.environ.get("POLYMER_LAB_THREADS")
         try:
@@ -218,23 +207,18 @@ def _cmd_moments(resolved: dict) -> int:
     return 0
 
 
-def _c_of(resolved: dict, N: int) -> float:
-    """--c if given, else c_N of the scaling rule at --eps."""
-    c = resolved.get("c")
-    if c is None:
-        if resolved.get("eps") is None:
-            raise ValueError("need --eps or --c to fix the disorder strength")
-        c = fluctuation.scaling(resolved["dim"], resolved["eps"]).c_of(N)
-    return c
+def _rule(resolved: dict) -> fluctuation.ScalingRule:
+    return fluctuation.ScalingRule(resolved["dim"], resolved.get("eps"), resolved.get("c"))
 
 
 def _cmd_oracle(resolved: dict) -> int:
     _require(resolved, "dim", "N")
-    d = resolved["dim"]
+    rule = _rule(resolved)
+    d = rule.d
     moments.check_expansion_cap(max(resolved["N"]), d)
     rows = []
     for N in resolved["N"]:
-        c = _c_of(resolved, N)
+        c = rule.c_of(N)
         cal = moments.calibrate(N, c, d)
         ez2 = cal.z2.total
         ek2 = cal.k2.total
@@ -265,11 +249,11 @@ def _cmd_clt(resolved: dict) -> int:
     _require(resolved, "dim", "N", "eps")
     d = resolved["dim"]
     eps = resolved["eps"]
-    rule = fluctuation.scaling(d, eps)
+    rule = _rule(resolved)
     rows = []
     for N in resolved["N"]:
-        c = _c_of(resolved, N)
-        a = rule.a_of(N, c)
+        c = rule.c_of(N)
+        a = rule.a_of(N)
         rem = fluctuation.remainder_variance_exact(N, c, d)
         rows.append(
             {
@@ -289,26 +273,19 @@ def _cmd_clt(resolved: dict) -> int:
     return 0
 
 
+# Option -> ExperimentConfig field.  An option not given keeps the field's
+# default; an explicit 0 is validated.
+_CONFIG_FIELDS = {
+    "dim": "d", "N": "n_grid", "eps": "eps", "c": "c_override", "replicas": "replicas",
+    "seed": "master_seed", "eps_prob": "eps_prob", "threads": "workers",
+}
+
+
 def _experiment_config(resolved: dict) -> harness.ExperimentConfig:
     _require(resolved, "dim", "N")
-    if resolved.get("eps") is None and resolved.get("c") is None:
-        raise ValueError("need --eps or --c to fix the disorder strength")
-
-    def given(key: str, default):
-        # Only a missing option takes the default; an explicit 0 is validated.
-        val = resolved.get(key)
-        return default if val is None else val
-
-    return harness.ExperimentConfig(
-        d=resolved["dim"],
-        eps=given("eps", 0.25),
-        n_grid=tuple(sorted(resolved["N"])),
-        replicas=given("replicas", 100),
-        master_seed=given("seed", 0),
-        c_override=resolved.get("c"),
-        eps_prob=given("eps_prob", 0.1),
-        workers=given("threads", 1),
-    )
+    fields = {f: resolved[k] for k, f in _CONFIG_FIELDS.items() if resolved.get(k) is not None}
+    fields["n_grid"] = tuple(sorted(fields["n_grid"]))
+    return harness.ExperimentConfig(**fields)
 
 
 def _run_and_report(resolved: dict) -> tuple[list, list, list]:
@@ -374,13 +351,15 @@ def _echo(resolved: dict, command: str) -> dict:
     return echo
 
 
+_SAMPLING = ("dim", "N", "eps", "c", "replicas", "seed", "threads", "eps_prob", "check")
+# Subcommand -> (handler, the options it takes besides --out and --config).
 _COMMANDS = {
-    "kernel-check": _cmd_kernel_check,
-    "moments": _cmd_moments,
-    "oracle": _cmd_oracle,
-    "simulate": _cmd_simulate,
-    "clt": _cmd_clt,
-    "concentration": _cmd_concentration,
+    "kernel-check": (_cmd_kernel_check, ("dim", "nmax")),
+    "moments": (_cmd_moments, ("dim", "nmax")),
+    "oracle": (_cmd_oracle, ("dim", "N", "eps", "c")),
+    "simulate": (_cmd_simulate, _SAMPLING),
+    "clt": (_cmd_clt, ("dim", "N", "eps", "c")),
+    "concentration": (_cmd_concentration, _SAMPLING),
 }
 
 
@@ -388,7 +367,7 @@ def parse_and_dispatch(argv: list[str]) -> int:
     args = _parser().parse_args(argv)
     try:
         resolved = _resolve(args)
-        return _COMMANDS[args.command](resolved)
+        return _COMMANDS[args.command][0](resolved)
     except (ValueError, OverflowError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -40,31 +40,40 @@ SIGMA2_LIMIT = {1: 2.0 / math.sqrt(math.pi), 2: 1.0 / math.pi}
 
 @dataclass(frozen=True)
 class ScalingRule:
-    """Disorder strength and normalizer schedules c_N, a_N for one dimension.
+    """The disorder strength of one run and its normalizer a_N.
 
     d = 1: c_N = N^(-(1/4 + eps)),        a_N = (c_N^2 sqrt(N))^(-1/2);
     d = 2: c_N = (log N)^(-(1/2 + eps)),  a_N = (c_N^2 log N)^(-1/2),
 
     with natural logarithms and eps > 0.  Both schedules keep c_N^2 sqrt(N)
     resp. c_N^2 log N decaying, which is the intermediate-disorder condition.
+    A fixed c (--c) takes the place of c_N at every N; a_N follows from c
+    alone, so eps is then read by nothing.
     """
 
     d: int
-    eps: float
+    eps: float | None
+    c: float | None = None
 
     def __post_init__(self) -> None:
         walk.check_dim(self.d)
-        if not self.eps > 0.0:
-            raise ValueError(f"eps must be > 0, got {self.eps}")
+        if self.eps is None and self.c is None:
+            raise ValueError("need --eps or --c to fix the disorder strength")
+        if self.eps is not None and not self.eps > 0.0:
+            raise ValueError(f"eps must be > 0 (--eps), got {self.eps}")
+        if self.c is not None and not 0.0 <= self.c < 1.0:
+            raise ValueError(f"c must satisfy 0 <= c < 1 (--c), got {self.c}")
 
     def c_of(self, N: int) -> float:
+        if self.c is not None:
+            return self.c
         self._check_n(N)
         if self.d == 1:
             return float(N) ** -(0.25 + self.eps)
         return math.log(N) ** -(0.5 + self.eps)
 
     def a_of(self, N: int, c: float | None = None) -> float:
-        """Normalizer for Z - 1; accepts an explicit c override."""
+        """Normalizer for Z - 1 at the rule's c, or at an explicit c."""
         self._check_n(N)
         if c is None:
             c = self.c_of(N)

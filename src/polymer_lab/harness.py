@@ -45,40 +45,42 @@ CSV_COLUMNS = (
 SAMPLER_MAX_N = {1: 4096, 2: 4096}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
-    """One simulation request: a grid of horizons at a common scaling rule."""
+    """One simulation request: a grid of horizons at one disorder strength.
+    The defaults are the CLI's for an option not given."""
 
     d: int
-    eps: float
     n_grid: tuple[int, ...]
-    replicas: int
-    master_seed: int
+    eps: float | None = None
     c_override: float | None = None
+    replicas: int = 100
+    master_seed: int = 0
     eps_prob: float = 0.1
     workers: int = 1
 
     def __post_init__(self) -> None:
         walk.check_dim(self.d)
-        if not self.n_grid or any(n < 1 for n in self.n_grid):
-            raise ValueError("n_grid must be nonempty with N >= 1")
-        if list(self.n_grid) != sorted(set(self.n_grid)):
-            raise ValueError("n_grid must be strictly increasing")
+        grid = self.n_grid
+        if not grid or list(grid) != sorted(grid):
+            raise ValueError(f"n_grid must be nonempty and sorted, got {grid}")
+        if grid[0] < 1:
+            raise ValueError(f"--N must be >= 1, got {grid[0]}")
+        for n, after in zip(grid, grid[1:]):
+            if n == after:
+                raise ValueError(f"--N {n} is given twice")
         if self.replicas < 1:
             raise ValueError(f"replicas must be >= 1 (--replicas), got {self.replicas}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1 (--threads), got {self.workers}")
         if not 0.0 < self.eps_prob < 1.0:
             raise ValueError(f"eps_prob must lie in (0, 1) (--eps-prob), got {self.eps_prob}")
-        if self.c_override is not None and not 0.0 <= self.c_override < 1.0:
-            raise ValueError("c override must satisfy 0 <= c < 1")
-        # Validates eps, c_N, and a_N wherever c > 0 (the normality report
-        # needs it), which refuses N = 1 for d = 2.
-        rule = fluctuation.scaling(self.d, self.eps)
-        for n in self.n_grid:
-            c = self.c_of(n)
-            if c > 0.0:
-                rule.a_of(n, c)
+        # The rule refuses a bad eps or c.  a_N is validated wherever c > 0
+        # (the normality report needs it), which refuses N = 1 for d = 2.
+        rule = self.rule()
+        for n in grid:
+            if rule.c_of(n) > 0.0:
+                rule.a_of(n)
         # Refused before any replica is sampled.
         cap = SAMPLER_MAX_N[self.d]
         if self.n_grid[-1] > cap:
@@ -88,11 +90,9 @@ class ExperimentConfig:
             )
 
     def rule(self) -> fluctuation.ScalingRule:
-        return fluctuation.scaling(self.d, self.eps)
+        return fluctuation.ScalingRule(self.d, self.eps, self.c_override)
 
     def c_of(self, N: int) -> float:
-        if self.c_override is not None:
-            return self.c_override
         return self.rule().c_of(N)
 
 

@@ -63,6 +63,7 @@ _ORDER_TAIL_REL = 1e-17
 
 def check_expansion_cap(N: int, d: int) -> None:
     """Refuse an N above the collision expansion's cap, naming the --N flag."""
+    walk.check_dim(d)
     cap = EXPANSION_MAX_N[d]
     if N > cap:
         raise ValueError(

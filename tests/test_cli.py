@@ -229,6 +229,8 @@ def test_oracle_refuses_n_above_moment_cap(dim, capsys, monkeypatch):
         (["--dim", "1", "--N", "4096", "--c", "0.95", "--replicas", "2", "--eps", "0.25"],
          "float64"),
         (["--dim", "2", "--N", "1", "--N", "128", "--c", "0.3", "--replicas", "20"], "--N >= 2"),
+        (["--dim", "1", "--N", "0", "--eps", "0.25"], "--N must be >= 1, got 0"),
+        (["--dim", "1", "--N", "8", "--N", "8", "--eps", "0.25"], "--N 8 is given twice"),
     ],
 )
 def test_refusals_come_before_sampling(command, argv, needle, capsys, monkeypatch):
@@ -406,6 +408,56 @@ def test_config_file_serves_several_subcommands(tmp_path, capsys):
     assert (payload["config"]["replicas"], payload["config"]["eps_prob"]) == (2, 0.2)
 
 
+@pytest.mark.parametrize(
+    "argv,lines",
+    [
+        (["oracle", "--dim", "2", "--N", "16", "--N", "64", "--c", "0.3"],
+         "dim = 2\nN = 16, 64\nc = 0.3\n"),
+        (["clt", "--dim", "1", "--N", "64", "--eps", "0.05"], "dim = 1\nN = 64\neps = 0.05\n"),
+        (["simulate", "--dim", "1", "--N", "8", "--N", "16", "--eps", "0.25", "--replicas", "3",
+          "--seed", "5", "--eps-prob", "0.2", "--check"],
+         "dim = 1\nN = 8\nN = 16\neps = 0.25\nreplicas = 3\nseed = 5\neps-prob = 0.2\n"
+         "check = yes\n"),
+        (["concentration", "--dim", "2", "--N", "8", "--c", "0.2", "--replicas", "4", "--seed", "1"],
+         "dim = 2\nN = 8\nc = 0.2\nreplicas = 4\nseed = 1\n"),
+    ],
+)
+def test_config_file_gives_the_flags_bytes(argv, lines, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(lines)
+    code, flags_out, err = run_cli(argv, capsys)
+    assert code == 0, err
+    code, cfg_out, err = run_cli([argv[0], "--config", str(cfg)], capsys)
+    assert code == 0, err
+    assert cfg_out == flags_out
+
+
+@pytest.mark.parametrize(
+    "line", ["replicas = three", "eps = x", "check = ture", "N = 8, x", "N =", "threads = 1.5"]
+)
+def test_config_values_that_do_not_parse_are_refused(line, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(harness, "simulate_replica", no_sampling)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"dim = 1\nN = 8\nc = 0.1\n{line}\n")
+    code, out, err = run_cli(["simulate", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert out == ""
+    key = line.split(" =", 1)[0]
+    assert str(cfg) in err and f"{key} = " in err and f"--{key}" in err
+
+
+@pytest.mark.parametrize("word,code", [("off", 0), ("No", 0), ("on", 3), ("TRUE", 3)])
+def test_config_check_takes_a_boolean_word(word, code, tmp_path, capsys):
+    # The argv of test_check_failure_exits_3, with the check read from the file.
+    cfg = tmp_path / "check.cfg"
+    cfg.write_text(
+        f"dim = 1\nN = 8, 32, 128\nc = 0.45\neps = 0.25\nreplicas = 24\nseed = 2\ncheck = {word}\n"
+    )
+    got, out, err = run_cli(["simulate", "--config", str(cfg)], capsys)
+    assert got == code, err
+    assert json.loads("{" + out.split("{", 1)[1])["config"]["check"] is (code == 3)
+
+
 def test_threads_env_fallback(monkeypatch):
     monkeypatch.setenv("POLYMER_LAB_THREADS", "6")
     ns = cli._parser().parse_args(["simulate", "--dim", "1", "--N", "4", "--eps", "0.25"])
@@ -444,10 +496,34 @@ def test_missing_required_option(capsys):
     assert "--dim" in err
 
 
-def test_invalid_dimension(capsys):
-    code, _, err = run_cli(["kernel-check", "--dim", "3"], capsys)
+@pytest.mark.parametrize("dim", ["0", "3"])
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_invalid_dimension(command, dim, capsys, monkeypatch):
+    monkeypatch.setattr(harness, "simulate_replica", no_sampling)
+    argv = [command, "--dim", dim]
+    if command not in ("kernel-check", "moments"):
+        argv += ["--N", "8", "--eps", "0.25"]
+    code, out, err = run_cli(argv, capsys)
     assert code == 2
-    assert "error" in err
+    assert out == ""
+    assert "dimension must be 1 or 2" in err
+
+
+@pytest.mark.parametrize("command", ["oracle", "clt", "simulate", "concentration"])
+@pytest.mark.parametrize(
+    "argv,needle",
+    [
+        (["--eps", "-1", "--c", "0.3"], "eps must be > 0 (--eps), got -1.0"),
+        (["--eps", "0.25", "--c", "1.0"], "c must satisfy 0 <= c < 1 (--c), got 1.0"),
+    ],
+)
+def test_disorder_refusals_are_shared(command, argv, needle, capsys, monkeypatch):
+    # fluctuation.ScalingRule owns these refusals for every subcommand.
+    monkeypatch.setattr(harness, "simulate_replica", no_sampling)
+    code, out, err = run_cli([command, "--dim", "1", "--N", "8", *argv], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {needle}\n"
 
 
 def test_unknown_flag_exits_2():
@@ -504,6 +580,17 @@ def _readme_cli_examples() -> list[list[str]]:
             cmd = cmd[:-1] + " " + next(lines).strip()
         examples.append(shlex.split(cmd)[1:])
     return examples
+
+
+def test_readme_config_example_loads(tmp_path):
+    # The indented block after "config file can hold any flag" in README's CLI section.
+    section = README.read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("can hold any flag", 1)[1].split("\n\n")[1]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("\n".join(line.strip() for line in block.splitlines()) + "\n")
+    assert cli.load_config(str(cfg)) == {
+        "dim": 1, "eps": 0.05, "N": [256, 1024], "replicas": 400, "seed": 7
+    }
 
 
 def test_readme_cli_examples_parse():

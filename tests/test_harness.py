@@ -27,6 +27,8 @@ def test_config_validation():
         harness.ExperimentConfig(**{**good, "c_override": 1.0})
     with pytest.raises(ValueError):
         harness.ExperimentConfig(**{**good, "eps": 0.0})
+    with pytest.raises(ValueError, match="need --eps or --c"):
+        harness.ExperimentConfig(**{**good, "eps": None})
     with pytest.raises(ValueError):  # d=2 scaling needs N >= 2
         harness.ExperimentConfig(d=2, eps=0.25, n_grid=(1, 4), replicas=2, master_seed=0)
     # a_N is needed wherever c > 0, also under a c override; c = 0 needs none.
