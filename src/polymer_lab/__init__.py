@@ -13,10 +13,10 @@ from .environment import EnvironmentField, EnvironmentTable, derive_replica_seed
 from .fluctuation import ScalingRule, limit_variance, scaling
 from .harness import ExperimentConfig, run_replicas
 from .moments import (
+    ExactMoments,
     centered_moments,
     ek2_pairwalk,
     ez2_pairwalk,
-    ez2_renewal,
     weighted_fourth_sum,
 )
 from .walk import TransitionKernel, build_kernel, return_probability
@@ -24,6 +24,7 @@ from .walk import TransitionKernel, build_kernel, return_probability
 __all__ = [
     "EnvironmentField",
     "EnvironmentTable",
+    "ExactMoments",
     "ExperimentConfig",
     "PolymerObservables",
     "ScalingRule",
@@ -37,7 +38,6 @@ __all__ = [
     "evolve_density",
     "evolve_replicas",
     "ez2_pairwalk",
-    "ez2_renewal",
     "ek2_pairwalk",
     "fluctuation",
     "harness",

@@ -220,17 +220,15 @@ def _cmd_oracle(resolved: dict) -> int:
     for N in resolved["N"]:
         c = rule.c_of(N)
         cal = moments.calibrate(N, c, d)
-        ez2 = cal.z2.total
-        ek2 = cal.k2.total
         rows.append(
             {
                 "d": d,
                 "N": N,
                 "c": c,
-                "ez2": ez2,
-                "ek2": ek2,
-                "var_Z": ez2 - 1.0,
-                "var_K": ek2 - float(N) * N,
+                "ez2": cal.exact.ez2,
+                "ek2": float(N) * N + cal.exact.var_k,
+                "var_Z": cal.exact.var_z,
+                "var_K": cal.exact.var_k,
                 "per_order_terms": cal.z2.orders.tolist(),
                 "k2_order_terms": cal.k2.orders.tolist(),
                 "s": cal.s,
@@ -254,7 +252,7 @@ def _cmd_clt(resolved: dict) -> int:
     for N in resolved["N"]:
         c = rule.c_of(N)
         a = rule.a_of(N)
-        rem = fluctuation.remainder_variance_exact(N, c, d)
+        rem = moments.centered_moments(N, c, d).rem_var
         rows.append(
             {
                 "d": d,

@@ -78,7 +78,7 @@ class ScalingRule:
         if c is None:
             c = self.c_of(N)
         if not c > 0.0:
-            raise ValueError("normalizer undefined at c = 0")
+            raise ValueError("normalizer a_N undefined at c = 0; choose --c > 0")
         s = c * c * walk.collision_scale(self.d, N)
         # Below the smallest normal float, 1/s overflows or s is 0.
         if not s >= sys.float_info.min:
@@ -92,7 +92,7 @@ class ScalingRule:
         if self.d == 2 and N < 2:
             raise ValueError("d = 2 scaling needs N >= 2 (log N must be positive); choose --N >= 2")
         if N < 1:
-            raise ValueError(f"N must be >= 1, got {N}")
+            raise ValueError(f"--N must be >= 1, got {N}")
 
 
 def scaling(d: int, eps: float) -> ScalingRule:
@@ -123,16 +123,8 @@ def linear_variance_exact(N: int, c: float, d: int) -> float:
 
 
 def remainder_variance_exact(N: int, c: float, d: int) -> float:
-    """E[R_N^2] by orthogonality: E Z^2 - 1 - c^2 sum_{k<=N} p0(2k, 0).
-
-    E Z^2 comes from the O(N^2) collision-time renewal (moments.ez2_renewal);
-    the tests cross-check it against the difference-walk DP.  The exact
-    quantity is a variance; the float subtraction can round a hair below
-    zero when c is tiny, so the result is clamped at 0.
-    """
-    ez2 = moments.ez2_renewal(N, c, d)
-    val = ez2 - 1.0 - linear_variance_exact(N, c, d)
-    return max(val, 0.0)
+    """E[R_N^2] = E Z^2 - 1 - c^2 sum_{k<=N} p0(2k, 0), read from the exact-moment record."""
+    return moments.centered_moments(N, c, d).rem_var
 
 
 def limit_variance(d: int, N: int) -> float:

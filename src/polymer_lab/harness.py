@@ -191,8 +191,8 @@ def _group(results) -> dict[tuple[int, int, float], list[ReplicaResult]]:
     return groups
 
 
-def exact_moments(config: ExperimentConfig) -> dict[int, tuple[float, float]]:
-    """(var Z, var K) per grid point N, from moments.centered_moments.
+def exact_moments(config: ExperimentConfig) -> dict[int, moments.ExactMoments]:
+    """The exact-moment record per grid point N, from moments.centered_moments.
 
     The CLI calls this before run_replicas, so moments beyond float64 are
     refused before any replica is sampled.
@@ -200,17 +200,16 @@ def exact_moments(config: ExperimentConfig) -> dict[int, tuple[float, float]]:
     return {N: moments.centered_moments(N, config.c_of(N), config.d) for N in config.n_grid}
 
 
-def chebyshev_bound(N: int, exact: tuple[float, float], eps_prob: float) -> float:
+def chebyshev_bound(N: int, exact: moments.ExactMoments, eps_prob: float) -> float:
     """Union Chebyshev bound on P(|msd/N - 1| > eps_prob) from the exact
-    moments exact = (var Z, var K) at N.
+    moments at N.
 
     If |K/N - 1| and |Z - 1| are both <= delta = eps_prob/(2 + eps_prob) then
     msd/N lies within eps_prob of 1, so the probability is at most
     (var K / N^2 + var Z) / delta^2, capped at 1.
     """
-    var_z, var_k = exact
     delta = eps_prob / (2.0 + eps_prob)
-    return min(1.0, (var_k / (float(N) * N) + var_z) / (delta * delta))
+    return min(1.0, (exact.var_k / (float(N) * N) + exact.var_z) / (delta * delta))
 
 
 def concentration_report(results, exact: dict, eps_prob: float) -> list[SummaryStats]:
@@ -288,11 +287,10 @@ def normality_report(
 ) -> list[SummaryStats]:
     """Distribution diagnostics of a_N (Z - 1), its linear part and remainder.
 
-    Targets come from the exact moments: a^2 var Z for the centered
-    partition sum, with var Z read from exact (exact_moments of the run),
-    the epsilon-free limit variance for the linear part, and the
-    orthogonality identity for the remainder.  Degenerate samples (c = 0)
-    are flagged rather than crashed on.
+    Targets are a^2 times the exact variances of exact (exact_moments of the
+    run): var Z for the centered partition sum, the linear variance for the
+    linear part and the orthogonality identity for the remainder.  Degenerate
+    samples (c = 0) are flagged rather than crashed on.
     """
     rows = []
     for (d, N, c), group in sorted(_group(results).items()):
@@ -306,21 +304,17 @@ def normality_report(
             row.degenerate = True
             rows.append(row)
             continue
-        var_z_exact = exact[N][0]
-        lin_var = fluctuation.linear_variance_exact(N, c, d)
-        # The value of fluctuation.remainder_variance_exact, from the E Z^2
-        # already in hand.
-        rem_var = max(var_z_exact - lin_var, 0.0)
+        m = exact[N]
         row.a = a
-        row.var_Z_exact = var_z_exact
+        row.var_Z_exact = m.var_z
         row.sigma2_limit = fluctuation.limit_variance(d, N)
         a2 = a * a
         row.metrics = {
-            "centered": _sample_metrics(a * (zs - 1.0), a2 * var_z_exact),
-            "linear": _sample_metrics(a * np.array([r.linear for r in group]), a2 * lin_var),
+            "centered": _sample_metrics(a * (zs - 1.0), a2 * m.var_z),
+            "linear": _sample_metrics(a * np.array([r.linear for r in group]), a2 * m.lin_var),
             "remainder": _sample_metrics(
                 a * np.array([r.remainder for r in group]),
-                a2 * rem_var if rem_var > 0.0 else None,
+                a2 * m.rem_var if m.rem_var > 0.0 else None,
             ),
         }
         row.degenerate = row.metrics["centered"]["degenerate"]

@@ -22,7 +22,7 @@ walks meet at time k:
 Every quantity here is computed by at least two genuinely different routes:
 
 * renewal: the O(N^2) scalar sum above, and for E K^2 its convolutions with
-  the collision moments; the route `simulate`, `concentration` and `clt` take;
+  the collision moments; the route of every exact number the CLI prints;
 * expansion: per-order dynamic programming over the last collision time,
   carrying only the mass / |y|^2 / |y|^4 summaries of the last-collision
   site distribution (the terminal weight needs nothing more); one pass gives
@@ -37,9 +37,9 @@ The renewal and the expansion share the closed-form collision moments of
 walk.collision_layer_moments; the pair routes step their own difference-walk
 and joint-state stencils.  Their agreement is the correctness argument.
 
-Each CLI path computes its exact moments once per grid point: `simulate` and
-`concentration` through centered_moments (in harness.exact_moments, before
-any replica is sampled), and `oracle` through calibrate.
+Every exact number a CLI path prints or compares against comes from one
+ExactMoments record per grid point (centered_moments, one renewal pass);
+`oracle` adds only the expansion's per-order terms and calibrate's constants.
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ def _fsum_finite(values, N: int, c: float, d: int) -> float:
 def _check_args(N: int, c: float, d: int) -> None:
     walk.check_dim(d)
     if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
+        raise ValueError(f"--N must be >= 1, got {N}")
     if not 0.0 <= c < 1.0:
         raise ValueError(f"c must satisfy 0 <= c < 1, got {c}")
 
@@ -113,18 +113,13 @@ def _renewal(N: int, c: float, d: int) -> np.ndarray:
     return np.concatenate(([1.0], g))
 
 
-def ez2_renewal(N: int, c: float, d: int) -> float:
-    """E[Z^2] = 1 + sum_{i<=N} g(i) by the collision-time renewal."""
-    return 1.0 + _fsum_finite(_renewal(N, c, d)[1:].tolist(), N, c, d)
-
-
 def ez2_pairwalk(N: int, c: float, d: int) -> float:
     """E[Z^2] via the difference walk D_n = omega(n) - omega~(n).
 
     D is a lazy +/-2 walk (independent per diagonal axis for d = 2); each
     visit to 0 multiplies the accumulated weight by 1 + c^2.  O(N^3) at
     d = 2; the tests and the benchmark checks use it as a cross-check of
-    ez2_renewal.
+    the renewal.
     """
     _check_args(N, c, d)
     w = 1.0 + c * c
@@ -331,9 +326,22 @@ def _check_times(times, N: int) -> np.ndarray:
     return seq
 
 
+@dataclass(frozen=True)
+class ExactMoments:
+    """E Z^2, var Z, var K (summed directly, not as E K^2 - N^2), and the
+    variances of the linear chaos term, c^2 sum_{k<=N} p0(2k, 0), and of the
+    remainder, var Z - lin_var clamped at 0 against rounding at tiny c."""
+
+    ez2: float
+    var_z: float
+    var_k: float
+    lin_var: float
+    rem_var: float
+
+
 @np.errstate(over="ignore", invalid="ignore")  # _fsum_finite refuses overflowed sums
-def centered_moments(N: int, c: float, d: int) -> tuple[float, float]:
-    """(var Z, var K) = (E Z^2 - 1, E K^2 - N^2) from the collision-time renewal.
+def centered_moments(N: int, c: float, d: int) -> ExactMoments:
+    """The ExactMoments record at (N, c, d) from the collision-time renewal.
 
     Summed over orders, the expansion's |y|^2 and |y|^4 chains are renewal
     convolutions (U = 1, g(1), ..., g(N); q2, q4 the collision moments):
@@ -341,11 +349,12 @@ def centered_moments(N: int, c: float, d: int) -> tuple[float, float]:
         A2 = c^2 U*U*q2,   A4 = c^2 U*U*q4 + (2 + 4/d) c^4 U*U*U*q2*q2,
         var K = sum_{i>=1} (N - i)^2 g(i) + 2 (N - i) A2(i) + A4(i).
 
-    var Z is ez2_renewal - 1, bit for bit.  harness.exact_moments calls this
-    once per grid point; the tests cross-check it against the other routes.
+    The collision mass is p0(2k, 0), so lin_var is
+    fluctuation.linear_variance_exact bit for bit.  The tests cross-check
+    the record against the other routes.
     """
     u = _renewal(N, c, d)
-    var_z = (1.0 + _fsum_finite(u[1:].tolist(), N, c, d)) - 1.0
+    ez2 = 1.0 + _fsum_finite(u[1:].tolist(), N, c, d)
     cm = walk.collision_layer_moments(d, N)
 
     def conv(a: np.ndarray, b: np.ndarray) -> np.ndarray:  # in time, truncated at N
@@ -357,7 +366,9 @@ def centered_moments(N: int, c: float, d: int) -> tuple[float, float]:
     a4 = c2 * conv(uu, q4) + (2.0 + 4.0 / d) * (c2 * c2) * conv(conv(uu, u), conv(q2, q2))
     back = (N - np.arange(N + 1)).astype(np.float64)
     terms = back * back * u + 2.0 * back * a2 + a4
-    return var_z, _fsum_finite(terms[1:].tolist(), N, c, d)
+    var_z, lin_var = ez2 - 1.0, c2 * math.fsum(cm.mass.tolist())
+    var_k = _fsum_finite(terms[1:].tolist(), N, c, d)
+    return ExactMoments(ez2, var_z, var_k, lin_var, max(var_z - lin_var, 0.0))
 
 
 def _smallest_dominating_a(total: float, s: float, N: int, scale: float) -> float:
@@ -406,17 +417,18 @@ def _per_order_a(orders: np.ndarray, s: float, scale: float) -> float:
 
 @dataclass(frozen=True)
 class Calibration:
-    """Both collision expansions at one (N, c, d) and their smallest
-    geometric-domination constants: everything an `oracle` row prints.
+    """Everything an `oracle` row prints: the exact-moment record, both
+    collision expansions and their smallest geometric-domination constants.
 
     s is the disorder-collision scale (c^2 sqrt(N) for d = 1, c^2 log N for
-    d = 2).  a_total_* is the smallest A with the full moment dominated by
-    sum_n (A s)^n (times N^2 for K^2); a_order_* is the smallest A with every
-    per-order term T_n <= (A s)^n individually.  s * a_order_* < 1 means the
-    geometric series closes.  At s = 0 (c = 0, or d = 2 at N = 1) all four
-    constants are 0.
+    d = 2).  a_total_* is the smallest A with the record's full moment
+    dominated by sum_n (A s)^n (times N^2 for K^2); a_order_* is the smallest
+    A with every per-order term T_n <= (A s)^n individually.  s * a_order_* < 1
+    means the geometric series closes.  At s = 0 (c = 0, or d = 2 at N = 1)
+    all four constants are 0.
     """
 
+    exact: ExactMoments
     z2: CollisionExpansion
     k2: CollisionExpansion
     s: float
@@ -427,19 +439,21 @@ class Calibration:
 
 
 def calibrate(N: int, c: float, d: int) -> Calibration:
-    """One collision-expansion pass and the domination constants of its orders."""
+    """The exact-moment record, one collision-expansion pass and the domination constants."""
     ez, ek = collision_expansions(N, c, d)
+    exact = centered_moments(N, c, d)
     s = c * c * walk.collision_scale(d, N)
     if s == 0.0:
-        return Calibration(ez, ek, s, 0.0, 0.0, 0.0, 0.0)
+        return Calibration(exact, ez, ek, s, 0.0, 0.0, 0.0, 0.0)
     n2 = float(N) * N
     return Calibration(
+        exact=exact,
         z2=ez,
         k2=ek,
         s=s,
-        a_total_z2=_smallest_dominating_a(ez.total, s, N, 1.0),
+        a_total_z2=_smallest_dominating_a(exact.ez2, s, N, 1.0),
         a_order_z2=_per_order_a(ez.orders, s, 1.0),
-        a_total_k2=_smallest_dominating_a(ek.total, s, N, n2),
+        a_total_k2=_smallest_dominating_a(n2 + exact.var_k, s, N, n2),
         a_order_k2=_per_order_a(ek.orders, s, n2),
     )
 

@@ -183,9 +183,9 @@ def test_criterion_5_vanishing_centered_moments():
         rule = fluctuation.scaling(d, eps)
         var_z_seq, var_k_seq = [], []
         for n in grid:
-            vz, vk = moments.centered_moments(n, rule.c_of(n), d)
-            var_z_seq.append(vz)
-            var_k_seq.append(vk / (float(n) * n))
+            m = moments.centered_moments(n, rule.c_of(n), d)
+            var_z_seq.append(m.var_z)
+            var_k_seq.append(m.var_k / (float(n) * n))
         strict_z = all(a > b for a, b in zip(var_z_seq, var_z_seq[1:]))
         strict_k = all(a > b for a, b in zip(var_k_seq, var_k_seq[1:]))
         ok = ok and strict_z and strict_k

@@ -1,4 +1,5 @@
 import json
+import math
 import shlex
 from pathlib import Path
 
@@ -266,10 +267,24 @@ def test_zero_disorder_runs_at_n1_in_d2(capsys):
     assert json.loads("{" + out.split("{", 1)[1])["normality"][0]["degenerate"]
 
 
-@pytest.mark.parametrize("command", ["simulate", "concentration"])
-def test_one_exact_moment_pass_per_grid_point(command, capsys, monkeypatch):
-    # Each grid point's E Z^2 and E K^2 come from one collision-time renewal,
-    # before any replica; the per-order expansion does not run.
+_SAMPLING_ARGS = ["--replicas", "3", "--seed", "2"]
+
+
+@pytest.mark.parametrize(
+    "command,expected",
+    [
+        ("simulate", [("_renewal", 16), ("_renewal", 64), ("replica", 16), ("replica", 64)]),
+        ("concentration", [("_renewal", 16), ("_renewal", 64), ("replica", 16), ("replica", 64)]),
+        ("clt", [("_renewal", 16), ("_renewal", 64)]),
+        ("oracle", [("collision_expansions", 16), ("_renewal", 16),
+                    ("collision_expansions", 64), ("_renewal", 64)]),
+    ],
+    ids=["simulate", "concentration", "clt", "oracle"],
+)
+def test_one_exact_moment_pass_per_grid_point(command, expected, capsys, monkeypatch):
+    # Each grid point's exact moments come from one collision-time renewal,
+    # before any replica.  Only oracle runs the per-order expansion, once
+    # per grid point, for its per-order columns.
     calls = []
     for name in ("_renewal", "collision_expansions"):
         real = getattr(moments, name)
@@ -286,13 +301,12 @@ def test_one_exact_moment_pass_per_grid_point(command, capsys, monkeypatch):
         return sample(d, N, c, jobs)
 
     monkeypatch.setattr(harness, "simulate_replica", recorded)
+    sampling = _SAMPLING_ARGS if command in ("simulate", "concentration") else []
     code, _, err = run_cli(
-        [command, "--dim", "1", "--N", "16", "--N", "64", "--eps", "0.25",
-         "--replicas", "3", "--seed", "2"],
-        capsys,
+        [command, "--dim", "1", "--N", "16", "--N", "64", "--eps", "0.25", *sampling], capsys
     )
     assert code == 0, err
-    assert calls == [("_renewal", 16), ("_renewal", 64), ("replica", 16), ("replica", 64)]
+    assert calls == expected
 
 
 @pytest.mark.parametrize("command", ["simulate", "concentration"])
@@ -309,8 +323,8 @@ def test_sampling_runs_without_the_collision_expansion(command, capsys, monkeypa
 
 
 def test_cli_paths_do_not_need_the_pairwalk_dp(capsys, monkeypatch):
-    # The pair DPs are cross-checks only: every CLI path and report gets
-    # E Z^2 from the renewal and E K^2 from the collision expansion.
+    # The pair DPs are cross-checks only: every CLI path and report reads
+    # E Z^2 and E K^2 from the renewal's exact-moment record.
     def no_pairwalk(*args):
         raise AssertionError("a pair-walk DP called outside the cross-checks")
 
@@ -349,7 +363,9 @@ def test_oracle_makes_one_collision_pass_per_row(capsys, monkeypatch):
         ["oracle", "--dim", "1", "--N", "16", "--N", "64", "--N", "256", "--eps", "0.05"], capsys
     )
     assert code == 0, err
-    assert calls == [(1, 16), (1, 64), (1, 256)]
+    # Two O(N) closed-form calls per row, no rolling pass: one for the
+    # renewal's record, one for the expansion's per-order columns.
+    assert calls == [(1, 16), (1, 16), (1, 64), (1, 64), (1, 256), (1, 256)]
 
 
 def test_oracle_refuses_moments_beyond_float64(capsys):
@@ -358,6 +374,56 @@ def test_oracle_refuses_moments_beyond_float64(capsys):
     assert out == ""
     assert "N = 2800" in err and "float64" in err
     assert "--c" in err and "--eps" in err and "--N" in err
+
+
+def test_clt_refuses_moments_beyond_float64(capsys):
+    # E Z^2 still fits float64 here, E K^2 does not; clt reads var K's record too.
+    code, out, err = run_cli(
+        ["clt", "--dim", "1", "--N", "2800", "--c", "0.94", "--eps", "0.1"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert "N = 2800" in err and "float64" in err
+    assert "--c" in err and "--eps" in err and "--N" in err
+
+
+def test_oracle_var_k_is_summed_not_subtracted(capsys):
+    # Formed as E K^2 - N^2, var K would lose about 1.3e-12 relative here.
+    code, out, err = run_cli(["oracle", "--dim", "1", "--N", "1024", "--c", "0.001"], capsys)
+    assert code == 0, err
+    row = json.loads(out)["rows"][0]
+    want = math.fsum(row["k2_order_terms"][1:])
+    assert abs(row["var_K"] - want) <= 1e-15 * want
+
+
+def test_oracle_and_simulate_print_the_same_var_z(capsys):
+    code, out, err = run_cli(["oracle", "--dim", "1", "--N", "256", "--eps", "0.05"], capsys)
+    assert code == 0, err
+    oracle_var_z = json.loads(out)["rows"][0]["var_Z"]
+    code, out, err = run_cli(
+        ["simulate", "--dim", "1", "--N", "256", "--eps", "0.05", *_SAMPLING_ARGS], capsys
+    )
+    assert code == 0, err
+    assert json.loads("{" + out.split("{", 1)[1])["normality"][0]["var_Z_exact"] == oracle_var_z
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+@pytest.mark.parametrize(
+    "disorder", [["--eps", "0.25"], ["--c", "0.3", "--eps", "0.25"]], ids=["eps", "c"]
+)
+@pytest.mark.parametrize("command", ["oracle", "clt"])
+def test_exact_paths_refuse_n_below_1_naming_the_flag(command, disorder, n, capsys):
+    code, out, err = run_cli([command, "--dim", "1", "--N", n, *disorder], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"--N must be >= 1, got {n}" in err
+
+
+def test_clt_refuses_zero_c_naming_the_flag(capsys):
+    code, out, err = run_cli(["clt", "--dim", "1", "--N", "8", "--c", "0", "--eps", "0.2"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "c = 0" in err and "--c" in err
 
 
 def test_config_file_defaults_and_flag_override(tmp_path, capsys):

@@ -151,9 +151,9 @@ def test_single_replica_exceedance_is_zero_or_one():
 def test_chebyshev_bound_cap_and_formula():
     assert harness.chebyshev_bound(64, moments.centered_moments(64, 0.4, 1), 0.1) == 1.0
     b = harness.chebyshev_bound(16, moments.centered_moments(16, 0.01, 1), 0.5)
-    var_z, var_k = moments.centered_moments(16, 0.01, 1)
+    m = moments.centered_moments(16, 0.01, 1)
     delta = 0.5 / 2.5
-    assert b == pytest.approx((var_k / 256.0 + var_z) / delta ** 2, rel=1e-12)
+    assert b == pytest.approx((m.var_k / 256.0 + m.var_z) / delta ** 2, rel=1e-12)
     assert b < 1.0
     with pytest.raises(ValueError):
         harness.concentration_report([], {}, 0.0)

@@ -32,9 +32,9 @@ def test_zero_disorder():
     for d in (1, 2):
         assert moments.ez2_pairwalk(5, 0.0, d) == 1.0
         assert moments.ek2_pairwalk(5, 0.0, d) == pytest.approx(25.0, rel=1e-12)
-        var_z, var_k = moments.centered_moments(5, 0.0, d)
-        assert var_z == 0.0
-        assert var_k == pytest.approx(0.0, abs=1e-10)
+        m = moments.centered_moments(5, 0.0, d)
+        assert m.var_z == 0.0
+        assert m.var_k == pytest.approx(0.0, abs=1e-10)
 
 
 @given(
@@ -47,7 +47,7 @@ def test_pairwalk_equals_expansion(d, n, c):
     a = moments.ez2_pairwalk(n, c, d)
     b = moments.ez2_expansion(n, c, d).total
     assert b == pytest.approx(a, rel=1e-12)
-    assert moments.ez2_renewal(n, c, d) == pytest.approx(a, rel=1e-12)
+    assert moments.centered_moments(n, c, d).ez2 == pytest.approx(a, rel=1e-12)
     ak = moments.ek2_pairwalk(n, c, d)
     bk = moments.ek2_expansion(n, c, d).total
     assert bk == pytest.approx(ak, rel=1e-12)
@@ -59,7 +59,7 @@ def test_enumeration_agrees(d, n_hi):
         for c in (0.15, 0.45):
             ez, ek = moments.pair_enumeration_moments(n, c, d)
             assert ez == pytest.approx(moments.ez2_pairwalk(n, c, d), rel=1e-11)
-            assert ez == pytest.approx(moments.ez2_renewal(n, c, d), rel=1e-11)
+            assert ez == pytest.approx(moments.centered_moments(n, c, d).ez2, rel=1e-11)
             assert ek == pytest.approx(moments.ek2_pairwalk(n, c, d), rel=1e-11)
 
 
@@ -68,7 +68,7 @@ def test_enumeration_agrees(d, n_hi):
     "d,n", [(1, 1), (1, 2), (1, 37), (1, 300), (2, 1), (2, 2), (2, 37), (2, 120)]
 )
 def test_renewal_equals_pairwalk(d, n, c):
-    assert moments.ez2_renewal(n, c, d) == pytest.approx(
+    assert moments.centered_moments(n, c, d).ez2 == pytest.approx(
         moments.ez2_pairwalk(n, c, d), rel=1e-12
     )
 
@@ -78,10 +78,10 @@ def test_renewal_beyond_expansion_cap():
     for d in (1, 2):
         cap = moments.EXPANSION_MAX_N[d]
         c = 0.1
-        assert moments.ez2_renewal(cap, c, d) == pytest.approx(
+        assert moments.centered_moments(cap, c, d).ez2 == pytest.approx(
             moments.ez2_expansion(cap, c, d).total, rel=1e-12
         )
-    assert moments.ez2_renewal(2 * moments.EXPANSION_MAX_N[2], 0.0, 2) == 1.0
+    assert moments.centered_moments(2 * moments.EXPANSION_MAX_N[2], 0.0, 2).ez2 == 1.0
     with pytest.raises(ValueError, match="--N"):
         moments.ez2_expansion(moments.EXPANSION_MAX_N[2] + 1, 0.1, 2)
 
@@ -152,21 +152,21 @@ def test_centered_moments_single_route():
     # the joint pair DP are references.
     for d, n in ((1, 40), (2, 12)):
         c = 0.3
-        var_z, var_k = moments.centered_moments(n, c, d)
+        m = moments.centered_moments(n, c, d)
         ek = moments.ek2_expansion(n, c, d).total
-        assert var_k == pytest.approx(ek - float(n) * n, rel=0.0, abs=_cancellation_tol(ek))
-        assert var_k == pytest.approx(
+        assert m.var_k == pytest.approx(ek - float(n) * n, rel=0.0, abs=_cancellation_tol(ek))
+        assert m.var_k == pytest.approx(
             moments.ek2_pairwalk(n, c, d) - float(n) * n, rel=1e-10, abs=1e-9
         )
-        assert var_z == pytest.approx(moments.ez2_pairwalk(n, c, d) - 1.0, rel=1e-12)
-        assert var_z == moments.ez2_renewal(n, c, d) - 1.0
+        assert m.var_z == pytest.approx(moments.ez2_pairwalk(n, c, d) - 1.0, rel=1e-12)
+        assert m.var_z == m.ez2 - 1.0
 
 
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("n", [1, 2, 37, 4096])
 def test_renewal_var_k_matches_expansion_and_pairwalk(d, n):
     for c in (0.05, 0.3):
-        _, var_k = moments.centered_moments(n, c, d)
+        var_k = moments.centered_moments(n, c, d).var_k
         ek = moments.ek2_expansion(n, c, d).total
         assert var_k == pytest.approx(ek - float(n) * n, rel=0.0, abs=_cancellation_tol(ek))
         if n <= moments.EK2_PAIRWALK_MAX_N[d]:
@@ -174,10 +174,22 @@ def test_renewal_var_k_matches_expansion_and_pairwalk(d, n):
             assert var_k == pytest.approx(pw - float(n) * n, rel=0.0, abs=_cancellation_tol(pw))
 
 
+@pytest.mark.parametrize("c", [0.0, 0.05, 0.4])
+@pytest.mark.parametrize("d,n", [(1, 1), (1, 16), (1, 200), (2, 1), (2, 12), (2, 64)])
+def test_exact_moments_record_against_references(d, n, c):
+    m = moments.centered_moments(n, c, d)
+    assert m.ez2 == pytest.approx(moments.ez2_pairwalk(n, c, d), rel=1e-12, abs=0.0)
+    assert m.lin_var == fluctuation.linear_variance_exact(n, c, d)
+    assert m.rem_var == max(m.var_z - m.lin_var, 0.0)
+    ez, ek = moments.collision_expansions(n, c, d)
+    assert m.ez2 == pytest.approx(ez.total, rel=1e-14, abs=0.0)
+    assert float(n) * n + m.var_k == pytest.approx(ek.total, rel=1e-14, abs=0.0)
+
+
 def test_renewal_var_k_hand_value():
     # One step: only a collision at time 1 counts, with sum_u u^4 b_1(u)^2 = 1/2.
     c = 0.1
-    assert moments.centered_moments(1, c, 1)[1] == c * c / 2
+    assert moments.centered_moments(1, c, 1).var_k == c * c / 2
 
 
 # `first` names the chain that stops at an earlier order; at (1, 16, 0.35)
@@ -194,7 +206,7 @@ def test_shared_pass_matches_references(first, d, n, c):
     assert lengths[first] < max(lengths.values())
     assert ez.truncated == (ez.orders.shape[0] <= n)
     assert ek.truncated == (ek.orders.shape[0] <= n)
-    assert ez.total == pytest.approx(moments.ez2_renewal(n, c, d), rel=1e-12)
+    assert ez.total == pytest.approx(moments.centered_moments(n, c, d).ez2, rel=1e-12)
     assert ek.total == pytest.approx(moments.ek2_pairwalk(n, c, d), rel=1e-12)
     assert np.array_equal(moments.ez2_expansion(n, c, d).orders, ez.orders)
     assert np.array_equal(moments.ek2_expansion(n, c, d).orders, ek.orders)
@@ -203,7 +215,10 @@ def test_shared_pass_matches_references(first, d, n, c):
 def test_overflow_refused_on_both_routes():
     # E Z^2 at d = 1, N = 2800, c = 0.95 is beyond float64.  The expansion
     # runs hundreds of orders before its sum overflows, so it is called once.
-    for route in (moments.ez2_renewal, moments.collision_expansions, moments.centered_moments):
+    # remainder_variance_exact reads the renewal's record.
+    routes = (fluctuation.remainder_variance_exact, moments.collision_expansions,
+              moments.centered_moments)
+    for route in routes:
         with pytest.raises(ValueError, match=r"N = 2800, c = 0\.95") as exc:
             route(2800, 0.95, 1)
         assert "--c" in str(exc.value) and "--eps" in str(exc.value)
@@ -310,7 +325,7 @@ def test_dominating_a_diverges_alike_at_zero_scale():
 
 
 def test_arg_validation():
-    for oracle in (moments.ez2_pairwalk, moments.ez2_renewal):
+    for oracle in (moments.ez2_pairwalk, moments.centered_moments):
         for bad in ((0, 0.2, 1), (3, 1.0, 1), (3, 0.2, 3)):
             with pytest.raises(ValueError):
                 oracle(*bad)
