@@ -2,24 +2,11 @@
 environment on Z^1 and Z^2 under weak-disorder scaling."""
 
 from . import engine, environment, fluctuation, harness, moments, stats, walk
-from .engine import (
-    PolymerObservables,
-    brute_force_observables,
-    evolve_density,
-    evolve_replicas,
-    observables,
-)
+from .engine import PolymerObservables, evolve_density, evolve_replicas, observables
 from .environment import EnvironmentField, EnvironmentTable, derive_replica_seed
 from .fluctuation import ScalingRule, limit_variance, scaling
 from .harness import ExperimentConfig, run_replicas
-from .moments import (
-    ExactMoments,
-    centered_moments,
-    ek2_pairwalk,
-    ez2_pairwalk,
-    weighted_fourth_sum,
-)
-from .walk import TransitionKernel, build_kernel, return_probability
+from .moments import ExactMoments, centered_moments
 
 __all__ = [
     "EnvironmentField",
@@ -28,23 +15,17 @@ __all__ = [
     "ExperimentConfig",
     "PolymerObservables",
     "ScalingRule",
-    "TransitionKernel",
-    "brute_force_observables",
-    "build_kernel",
     "centered_moments",
     "derive_replica_seed",
     "engine",
     "environment",
     "evolve_density",
     "evolve_replicas",
-    "ez2_pairwalk",
-    "ek2_pairwalk",
     "fluctuation",
     "harness",
     "limit_variance",
     "moments",
     "observables",
-    "return_probability",
     "run_replicas",
     "scaling",
     "stats",

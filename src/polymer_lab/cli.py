@@ -1,6 +1,6 @@
 """Command line entry points.
 
-Subcommands: kernel-check, moments, oracle, simulate, clt, concentration.
+Subcommands: oracle, simulate, clt, concentration.
 Every run echoes its fully resolved configuration in the JSON output header,
 and identical invocations produce byte-identical output.  Exit codes:
 0 success, 2 argument/validation error, 3 failed --check.
@@ -19,9 +19,7 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
-from . import fluctuation, harness, moments, walk
+from . import fluctuation, harness, moments
 
 _CHECK_EXIT = 3
 
@@ -32,7 +30,6 @@ _OPTIONS = {
     "N": dict(type=int, action="append", help="horizon; repeat for a grid"),
     "eps": dict(type=float, help="scaling exponent margin"),
     "c": dict(type=float, help="override disorder strength"),
-    "nmax": dict(type=int, help="largest time to check"),
     "replicas": dict(type=int),
     "seed": dict(type=int, help="master seed"),
     "threads": dict(type=int, help="worker process count"),
@@ -133,80 +130,6 @@ def _emit(payload: dict, out: str | None, filename: str = "summary.json") -> Non
             (path / filename).write_text(text)
 
 
-def _nmax(resolved: dict, default: int, cap: int) -> int:
-    """--nmax, or default when it is not given; refused outside [1, cap]."""
-    nmax = resolved.get("nmax")
-    if nmax is None:
-        return default
-    if not 1 <= nmax <= cap:
-        raise ValueError(f"--nmax must lie in [1, {cap}], got {nmax}")
-    return nmax
-
-
-def _cmd_kernel_check(resolved: dict) -> int:
-    _require(resolved, "dim")
-    d = resolved["dim"]
-    # The kernel goes to depth 2 nmax for the collision identity.
-    nmax = _nmax(resolved, 50, walk.MAX_KERNEL_DEPTH // 2)
-    kernel = walk.build_kernel(d, 2 * nmax)
-    norm_dev = 0.0
-    sym_dev = 0.0
-    odd_dev = 0.0
-    collision_dev = 0.0
-    moment_errs = {}
-    for n in range(1, nmax + 1):
-        lay = kernel.layer(n)
-        norm_dev = max(norm_dev, abs(float(lay.sum()) - 1.0))
-        sym_dev = max(sym_dev, float(np.abs(lay - np.flip(lay)).max()))
-        x1 = walk.slice_positions(d, n)[0]
-        odd_dev = max(odd_dev, abs(walk.lattice_sum(lay, x1)))
-        collision_dev = max(
-            collision_dev,
-            abs(walk.collision_mass(kernel, n) - kernel.probability(2 * n, (0,) * d)),
-        )
-        for kind in walk.MOMENT_KINDS[d]:
-            ref = walk.closed_form_moment(d, kind, n)
-            got = walk.moment(kernel, kind, n)
-            err = abs(got - ref) / max(abs(ref), 1.0)
-            moment_errs[kind] = max(moment_errs.get(kind, 0.0), err)
-    envelope = walk.residual_envelope(kernel, (1, min(nmax, 64)))
-    payload = {
-        "config": {"command": "kernel-check", "dim": d, "nmax": nmax},
-        "normalization_max_dev": norm_dev,
-        "symmetry_max_dev": sym_dev,
-        "odd_moment_max_dev": odd_dev,
-        "collision_identity_max_dev": collision_dev,
-        "moment_max_rel_err": moment_errs,
-        "residual_envelope": {"flat": envelope.flat, "tail": envelope.tail},
-        "pass": bool(
-            norm_dev < 1e-12
-            and sym_dev < 1e-12
-            and odd_dev < 1e-12
-            and collision_dev < 1e-12
-            and all(e < 1e-9 for e in moment_errs.values())
-        ),
-    }
-    _emit(payload, resolved.get("out"))
-    return 0 if payload["pass"] else _CHECK_EXIT
-
-
-def _cmd_moments(resolved: dict) -> int:
-    _require(resolved, "dim")
-    d = resolved["dim"]
-    nmax = _nmax(resolved, 30, walk.MAX_KERNEL_DEPTH)
-    kernel = walk.build_kernel(d, nmax)
-    rows = []
-    for n in range(1, nmax + 1):
-        row = {"n": n}
-        for kind in walk.MOMENT_KINDS[d]:
-            row[kind] = walk.moment(kernel, kind, n)
-            row[kind + "_closed_form"] = walk.closed_form_moment(d, kind, n)
-        rows.append(row)
-    payload = {"config": {"command": "moments", "dim": d, "nmax": nmax}, "rows": rows}
-    _emit(payload, resolved.get("out"))
-    return 0
-
-
 def _rule(resolved: dict) -> fluctuation.ScalingRule:
     return fluctuation.ScalingRule(resolved["dim"], resolved.get("eps"), resolved.get("c"))
 
@@ -304,6 +227,12 @@ def _check_exit(resolved: dict, conc: list, norm: list) -> int:
 
 
 def _cmd_simulate(resolved: dict) -> int:
+    out = resolved.get("out")
+    if out and Path(out).suffix:
+        raise ValueError(
+            f"simulate writes replicas.csv and summary.json into the directory --out, "
+            f"so --out takes a directory name, got {out!r}"
+        )
     results, conc, norm = _run_and_report(resolved)
     payload = {
         "config": _echo(resolved, "simulate"),
@@ -311,7 +240,6 @@ def _cmd_simulate(resolved: dict) -> int:
         "normality": [asdict(r) for r in norm],
     }
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    out = resolved.get("out")
     if out:
         outdir = Path(out)
         outdir.mkdir(parents=True, exist_ok=True)
@@ -352,8 +280,6 @@ def _echo(resolved: dict, command: str) -> dict:
 _SAMPLING = ("dim", "N", "eps", "c", "replicas", "seed", "threads", "eps_prob", "check")
 # Subcommand -> (handler, the options it takes besides --out and --config).
 _COMMANDS = {
-    "kernel-check": (_cmd_kernel_check, ("dim", "nmax")),
-    "moments": (_cmd_moments, ("dim", "nmax")),
     "oracle": (_cmd_oracle, ("dim", "N", "eps", "c")),
     "simulate": (_cmd_simulate, _SAMPLING),
     "clt": (_cmd_clt, ("dim", "N", "eps", "c")),

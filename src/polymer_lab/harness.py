@@ -257,7 +257,7 @@ def _sample_metrics(values: np.ndarray, sigma2_target: float | None) -> dict:
     acc = stats.RunningMoments().extend(values)
     out = {
         "mean": acc.mean,
-        "variance": acc.variance(ddof=1),
+        "variance": acc.variance(ddof=1) if acc.count > 1 else None,
         "sigma2_target": sigma2_target,
     }
     if acc.degenerate:

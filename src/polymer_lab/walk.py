@@ -136,32 +136,6 @@ def lattice_sum(layer: np.ndarray, weights: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
-class LcltEstimate:
-    """Exact transition probability, its Gaussian local-limit value, residual."""
-
-    n: int
-    x: tuple[int, ...]
-    exact: float
-    approx: float
-    residual: float
-
-
-@dataclass(frozen=True)
-class ResidualEnvelope:
-    """Smallest constants bounding the local-CLT residual over a time range.
-
-    |residual(n, x)| <= min(flat * n^{-(d+2)/2}, tail * |x|^{-2} * n^{-d/2})
-    for all parity-valid cone sites; `tail` is fitted over x != 0 only.
-    """
-
-    d: int
-    n_lo: int
-    n_hi: int
-    flat: float
-    tail: float
-
-
-@dataclass(frozen=True)
 class CollisionMoments:
     """Per-gap moments of the squared kernel q(gap, y) = p0(gap, y)^2.
 
@@ -221,7 +195,7 @@ def build_kernel(d: int, n_max: int) -> TransitionKernel:
     if entries * 8 > MAX_KERNEL_BYTES:
         raise ValueError(
             f"dense kernel (d={d}, n_max={n_max}) would need {entries * 8} bytes, "
-            f"more than the {MAX_KERNEL_BYTES}-byte limit; lower --nmax"
+            f"more than the {MAX_KERNEL_BYTES}-byte limit; lower n_max"
         )
     layers = [np.ones(slice_shape(d, 0))]
     for _ in range(n_max):
@@ -231,44 +205,8 @@ def build_kernel(d: int, n_max: int) -> TransitionKernel:
     return TransitionKernel(d=d, n_max=n_max, _layers=layers)
 
 
-def lclt_estimate(kernel: TransitionKernel, n: int, x) -> LcltEstimate:
-    """Exact p0(n, x) against the Gaussian local-limit approximation.
-
-    approx = 2 (d / (2 pi n))^{d/2} exp(-d |x|^2 / (2n)); the factor 2 is the
-    parity weight.  Requires x1 + ... + xd + n even.
-    """
-    if n < 1:
-        raise ValueError("time must be >= 1")
-    pt = as_point(x, kernel.d)
-    if (sum(pt) + n) % 2:
-        raise ValueError(f"site {pt} violates parity at time {n}")
-    d = kernel.d
-    sq = float(sum(c * c for c in pt))
-    approx = 2.0 * (d / (2.0 * math.pi * n)) ** (d / 2.0) * math.exp(-d * sq / (2.0 * n))
-    exact = kernel.probability(n, pt)
-    return LcltEstimate(n=n, x=pt, exact=exact, approx=approx, residual=exact - approx)
-
-
-def residual_envelope(kernel: TransitionKernel, n_range: tuple[int, int]) -> ResidualEnvelope:
-    """Measure the local-CLT residual constants over cone sites in n_range."""
-    n_lo, n_hi = n_range
-    if not 1 <= n_lo <= n_hi <= kernel.n_max:
-        raise ValueError(f"n_range {n_range} outside [1, {kernel.n_max}]")
-    d = kernel.d
-    flat = 0.0
-    tail = 0.0
-    for n in range(n_lo, n_hi + 1):
-        sq = slice_sqnorm(d, n)
-        gauss = 2.0 * (d / (2.0 * math.pi * n)) ** (d / 2.0) * np.exp(-d * sq / (2.0 * n))
-        resid = np.abs(kernel.layer(n) - gauss)
-        flat = max(flat, float(resid.max()) * n ** ((d + 2) / 2.0))
-        off = sq > 0
-        tail = max(tail, float((resid[off] * sq[off]).max()) * n ** (d / 2.0))
-    return ResidualEnvelope(d=d, n_lo=n_lo, n_hi=n_hi, flat=flat, tail=tail)
-
-
-def _moment_args(d: int, kind: str, n: int, shift) -> tuple[int, ...]:
-    """Check a moment request; return the shift y as a point (the origin if None)."""
+def _moment_args(d: int, kind: str, n: int) -> None:
+    """Check a moment request."""
     check_dim(d)
     if kind not in MOMENT_KINDS[2]:
         raise ValueError(f"unknown moment kind {kind!r}")
@@ -276,24 +214,19 @@ def _moment_args(d: int, kind: str, n: int, shift) -> tuple[int, ...]:
         raise ValueError(f"moment kind {kind!r} requires d = 2")
     if n < 1:
         raise ValueError("moment time must be >= 1")
-    if shift is None:
-        return (0,) * d
-    if kind not in ("second", "fourth"):
-        raise ValueError(f"moment kind {kind!r} takes no shift")
-    return as_point(shift, d)
 
 
-def moment(kernel: TransitionKernel, kind: str, n: int, shift=None) -> float:
-    """Direct lattice sum of a monomial of x + y against p0(n, x), y = shift.
+def moment(kernel: TransitionKernel, kind: str, n: int) -> float:
+    """Direct lattice sum of a monomial of x against p0(n, x).
 
-    "second" and "fourth" are |x + y|^2 and |x + y|^4; the d = 2 kinds
+    "second" and "fourth" are |x|^2 and |x|^4; the d = 2 kinds
     "partial-second", "partial-fourth" and "cross" are x1^2, x1^4 and
-    x1^2 x2^2 and take no shift.
+    x1^2 x2^2.
     """
-    y = _moment_args(kernel.d, kind, n, shift)
+    _moment_args(kernel.d, kind, n)
     if n > kernel.n_max:
         raise ValueError(f"time {n} outside kernel range")
-    pos = [x + c for x, c in zip(slice_positions(kernel.d, n), y)]
+    pos = slice_positions(kernel.d, n)
     if kind in ("second", "fourth"):
         w = sum(x * x for x in pos)
         if kind == "fourth":
@@ -305,20 +238,15 @@ def moment(kernel: TransitionKernel, kind: str, n: int, shift=None) -> float:
     return lattice_sum(kernel.layer(n), w.astype(np.float64))
 
 
-def closed_form_moment(d: int, kind: str, n: int, shift=None) -> float:
-    """Closed forms of the moment sums (exact integers/rationals).
-
-    Shifted by y: n + |y|^2 and 3n^2 - 2n + 6|y|^2 n + |y|^4 (d = 1) or
-    2n^2 - n + 4|y|^2 n + |y|^4 (d = 2); y = 0 when shift is None.
-    """
-    y = _moment_args(d, kind, n, shift)
-    ysq = sum(c * c for c in y)
+def closed_form_moment(d: int, kind: str, n: int) -> float:
+    """Closed forms of the moment sums (exact integers/rationals)."""
+    _moment_args(d, kind, n)
     if kind == "second":
-        return float(n + ysq)
+        return float(n)
     if kind == "fourth":
         if d == 1:
-            return float(3 * n * n - 2 * n + 6 * ysq * n + ysq * ysq)
-        return float(2 * n * n - n + 4 * ysq * n + ysq * ysq)
+            return float(3 * n * n - 2 * n)
+        return float(2 * n * n - n)
     if kind == "partial-second":
         return n / 2.0
     if kind == "partial-fourth":

@@ -39,50 +39,6 @@ def test_oracle_requires_c_or_eps(capsys):
     assert "eps" in err
 
 
-def test_kernel_check_passes(capsys):
-    code, out, _ = run_cli(["kernel-check", "--dim", "2", "--nmax", "12"], capsys)
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["pass"] is True
-    assert payload["normalization_max_dev"] < 1e-12
-    assert payload["collision_identity_max_dev"] < 1e-12
-
-
-def test_moments_table(capsys):
-    code, out, _ = run_cli(["moments", "--dim", "1", "--nmax", "6"], capsys)
-    assert code == 0
-    rows = json.loads(out)["rows"]
-    assert len(rows) == 6
-    for row in rows:
-        assert row["second"] == pytest.approx(row["second_closed_form"], rel=1e-12)
-        assert row["fourth"] == pytest.approx(row["fourth_closed_form"], rel=1e-12)
-
-
-def no_kernel(*args):
-    raise AssertionError("a kernel was built before --nmax was refused")
-
-
-# Only values that must be refused: a valid --nmax near the cap builds a
-# kernel of hundreds of MB.  kernel-check builds to depth 2 nmax.
-@pytest.mark.parametrize(
-    "command,nmax",
-    [
-        ("kernel-check", 0),
-        ("kernel-check", -3),
-        ("kernel-check", walk.MAX_KERNEL_DEPTH // 2 + 1),
-        ("moments", 0),
-        ("moments", -3),
-        ("moments", walk.MAX_KERNEL_DEPTH + 1),
-    ],
-)
-def test_nmax_out_of_range_is_refused_not_defaulted(command, nmax, capsys, monkeypatch):
-    monkeypatch.setattr(walk, "build_kernel", no_kernel)
-    code, out, err = run_cli([command, "--dim", "1", "--nmax", str(nmax)], capsys)
-    assert code == 2
-    assert out == ""
-    assert "--nmax" in err and f"got {nmax}" in err
-
-
 def test_oracle_keys(capsys):
     code, out, err = run_cli(
         ["oracle", "--dim", "2", "--N", "1", "--N", "16", "--c", "0.3"], capsys
@@ -153,20 +109,35 @@ def test_simulate_bytes_do_not_depend_on_blas_threads(tmp_path, polymer_lab_cli)
     assert outputs[0] == outputs[1]
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [["moments", "--dim", "2", "--nmax", "120"], ["kernel-check", "--dim", "2", "--nmax", "110"]],
-)
-def test_kernel_diagnostics_do_not_depend_on_blas_threads(argv, polymer_lab_cli):
-    # Both commands sum d = 2 layers of more than 10^4 sites from n = 100 on.
-    outputs = []
-    for threads in ("1", "2"):
-        proc = polymer_lab_cli(
-            *argv, extra_env={"OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
-        )
-        assert proc.returncode == 0, proc.stderr
-        outputs.append(proc.stdout)
-    assert outputs[0] == outputs[1]
+def _refuse_constant(name):
+    raise AssertionError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("command", ["simulate", "concentration"])
+def test_single_replica_output_is_json(command, tmp_path, capsys):
+    # One replica has no sample variance: it is written as null, never NaN.
+    argv = [command, "--dim", "1", "--N", "4", "--eps", "0.25", "--replicas", "1"]
+    code, _, err = run_cli([*argv, "--out", str(tmp_path / "run")], capsys)
+    assert code == 0, err
+    name = "summary.json" if command == "simulate" else "concentration.json"
+    payload = json.loads((tmp_path / "run" / name).read_text(), parse_constant=_refuse_constant)
+    if command == "simulate":
+        for metrics in payload["normality"][0]["metrics"].values():
+            assert metrics["variance"] is None
+
+
+def test_simulate_refuses_a_file_name_for_out(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(harness, "simulate_replica", no_sampling)
+    target = tmp_path / "x.json"
+    code, stdout, err = run_cli(
+        ["simulate", "--dim", "1", "--N", "4", "--eps", "0.25", "--replicas", "2",
+         "--out", str(target)],
+        capsys,
+    )
+    assert code == 2
+    assert stdout == ""
+    assert "replicas.csv and summary.json into the directory --out" in err and "x.json" in err
+    assert not target.exists()
 
 
 def test_simulate_stdout_without_out(capsys):
@@ -450,21 +421,22 @@ def test_config_file_validation(tmp_path, capsys):
 
 def test_config_file_unknown_keys_refused(tmp_path, capsys, monkeypatch):
     # Misspelt keys must not fall back to their defaults (100 replicas at
-    # seed 0) unnoticed.
+    # seed 0) unnoticed, nor a key that no subcommand takes.
     monkeypatch.setattr(harness, "simulate_replica", no_sampling)
     cfg = tmp_path / "typo.cfg"
-    cfg.write_text("dim = 1\neps = 0.25\nN = 8\nreplica = 3\nsed = 9\n")
-    code, out, err = run_cli(["concentration", "--config", str(cfg)], capsys)
-    assert code == 2
-    assert out == ""
-    assert str(cfg) in err and "replica, sed" in err
+    for lines, keys in (("replica = 3\nsed = 9\n", "replica, sed"), ("nmax = 5\n", "nmax")):
+        cfg.write_text("dim = 1\neps = 0.25\nN = 8\n" + lines)
+        code, out, err = run_cli(["concentration", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert out == ""
+        assert str(cfg) in err and f"unknown keys: {keys}\n" in err
 
 
 def test_config_file_serves_several_subcommands(tmp_path, capsys):
     # Keys another subcommand takes are accepted: oracle ignores the
     # sampling options, simulate uses them.
     cfg = tmp_path / "shared.cfg"
-    cfg.write_text("dim = 1\neps-prob = 0.2\nN = 8\nreplicas = 2\nseed = 4\nc = 0.1\nnmax = 9\n")
+    cfg.write_text("dim = 1\neps-prob = 0.2\nN = 8\nreplicas = 2\nseed = 4\nc = 0.1\n")
     code, out, err = run_cli(["oracle", "--config", str(cfg)], capsys)
     assert code == 0, err
     assert json.loads(out)["config"]["N"] == [8]
@@ -557,7 +529,7 @@ def test_threads_env_must_be_an_integer(capsys, monkeypatch):
 
 
 def test_missing_required_option(capsys):
-    code, _, err = run_cli(["kernel-check"], capsys)
+    code, _, err = run_cli(["oracle", "--N", "8", "--eps", "0.25"], capsys)
     assert code == 2
     assert "--dim" in err
 
@@ -566,10 +538,7 @@ def test_missing_required_option(capsys):
 @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
 def test_invalid_dimension(command, dim, capsys, monkeypatch):
     monkeypatch.setattr(harness, "simulate_replica", no_sampling)
-    argv = [command, "--dim", dim]
-    if command not in ("kernel-check", "moments"):
-        argv += ["--N", "8", "--eps", "0.25"]
-    code, out, err = run_cli(argv, capsys)
+    code, out, err = run_cli([command, "--dim", dim, "--N", "8", "--eps", "0.25"], capsys)
     assert code == 2
     assert out == ""
     assert "dimension must be 1 or 2" in err
@@ -599,9 +568,10 @@ def test_unknown_flag_exits_2():
 
 
 def test_unknown_subcommand_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        cli.parse_and_dispatch(["frobnicate"])
-    assert exc.value.code == 2
+    for command in ("frobnicate", "kernel-check", "moments"):
+        with pytest.raises(SystemExit) as exc:
+            cli.parse_and_dispatch([command, "--dim", "1"])
+        assert exc.value.code == 2
 
 
 def test_check_failure_exits_3(capsys):
@@ -628,8 +598,8 @@ def test_check_pass_exits_0(capsys):
 def test_installed_entry_point_help(polymer_lab_cli):
     proc = polymer_lab_cli("--help")
     assert proc.returncode == 0, proc.stderr
-    for sub in ("kernel-check", "moments", "oracle", "simulate", "clt", "concentration"):
-        assert sub in proc.stdout
+    choices = proc.stdout.split("{", 1)[1].split("}", 1)[0]
+    assert choices.split(",") == ["oracle", "simulate", "clt", "concentration"]
 
 
 def _readme_cli_examples() -> list[list[str]]:
