@@ -100,7 +100,7 @@ def _resolve(args: argparse.Namespace) -> dict:
         for key, val in vars(args).items()
         if key not in ("command", "config")
     }
-    if resolved.get("threads") is None:
+    if "threads" in resolved and resolved["threads"] is None:
         env_threads = os.environ.get("POLYMER_LAB_THREADS")
         try:
             resolved["threads"] = int(env_threads) if env_threads else 1

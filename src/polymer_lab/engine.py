@@ -171,11 +171,11 @@ def observables(layer: DensityLayer) -> PolymerObservables:
 def path_batches(d: int, N: int, max_paths: int = MAX_BRUTE_PATHS):
     """Enumerate all (2d)^N nearest-neighbour paths in vectorized chunks.
 
-    Yields (indices, endpoint_sqnorm) where indices is a length-N list of
-    packed slice-index arrays (one per time step, matching the packed layer
-    layouts) and endpoint_sqnorm is |omega(N)|^2 per path.  d = 2 paths are
-    driven in diagonal coordinates: two base-4 digits per step give the
-    independent u and v increments.
+    Yields (indices, endpoint_sqnorm) where indices is a length-N list with
+    one tuple of d packed slice-index arrays per time step (matching the
+    packed layer layouts) and endpoint_sqnorm is |omega(N)|^2 per path.
+    Paths are driven in diagonal coordinates: d bits of the path number per
+    step give the independent +/-1 increments of the d diagonal axes.
     """
     total = (2 * d) ** N
     if total > max_paths:
@@ -183,19 +183,11 @@ def path_batches(d: int, N: int, max_paths: int = MAX_BRUTE_PATHS):
     for lo in range(0, total, _PATH_CHUNK):
         hi = min(lo + _PATH_CHUNK, total)
         codes = np.arange(lo, hi, dtype=np.int64)
-        if d == 1:
-            steps = ((codes[:, None] >> np.arange(N)) & 1) * 2 - 1
-            pos = np.cumsum(steps, axis=1)
-            idx = [(pos[:, n - 1] + n) >> 1 for n in range(1, N + 1)]
-            yield idx, (pos[:, -1] ** 2).astype(np.float64)
-        else:
-            digits = (codes[:, None] >> (2 * np.arange(N))) & 3
-            du = (digits & 1) * 2 - 1
-            dv = ((digits >> 1) & 1) * 2 - 1
-            u = np.cumsum(du, axis=1)
-            v = np.cumsum(dv, axis=1)
-            idx = [((u[:, n - 1] + n) >> 1, (v[:, n - 1] + n) >> 1) for n in range(1, N + 1)]
-            yield idx, ((u[:, -1] ** 2 + v[:, -1] ** 2) // 2).astype(np.float64)
+        digits = (codes[:, None] >> (d * np.arange(N))) & ((1 << d) - 1)
+        pos = [np.cumsum(((digits >> a) & 1) * 2 - 1, axis=1) for a in range(d)]
+        idx = [tuple((u[:, n - 1] + n) >> 1 for u in pos) for n in range(1, N + 1)]
+        # |x|^2 = u^2 in d = 1 and (u^2 + v^2)/2 in d = 2.
+        yield idx, (sum(u[:, -1] ** 2 for u in pos) // d).astype(np.float64)
 
 
 def brute_force_observables(env, c: float, N: int) -> PolymerObservables:
@@ -208,12 +200,7 @@ def brute_force_observables(env, c: float, N: int) -> PolymerObservables:
     for idx, end_sq in path_batches(d, N):
         w = np.ones(end_sq.shape[0])
         for n in range(1, N + 1):
-            if d == 1:
-                s = signs[n - 1][idx[n - 1]]
-            else:
-                iu, iv = idx[n - 1]
-                s = signs[n - 1][iu, iv]
-            w *= 1.0 + c * s
+            w *= 1.0 + c * signs[n - 1][idx[n - 1]]
         z_acc += float(w.sum())
         k_acc += float((w * end_sq).sum())
     scale = float(2 * d) ** (-N)

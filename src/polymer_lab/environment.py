@@ -12,7 +12,7 @@ easy as 1, 2, 3", SC'11).
 SignHasher does that for the sampler's row blocks at one finalize per site;
 in d = 2 the first site word takes only 2n + 1 values per slice, so it is
 finalized once per field and broadcast through a Hankel view.
-EnvironmentField.slice_signs is the one-field case of the same routine, and
+EnvironmentField.slice_signs is a one-field SignHasher call, and
 EnvironmentField.value the independent scalar route.
 
 Replica seed derivation is part of the on-disk contract: CSV outputs record
@@ -108,18 +108,18 @@ def _site_index(d: int, horizon: int, n: int, x) -> tuple[int, ...]:
     return idx
 
 
-def _stacked_signs(
-    states: np.ndarray, words: np.ndarray, d: int, n: int, z: np.ndarray, out: np.ndarray
-) -> np.ndarray:
-    """+/-1.0 slices at time n of R fields, stacked on a leading axis.
+class SignHasher:
+    """Signs of one time slice of several fields, hashed in one vector pass.
 
-    states is a uint64 (R, 1) array of hash_words(seed, n) + _GOLDEN (the
-    state after absorbing n, plus the _GOLDEN of the next absorb), and words
-    the uint64 (2n+1)-array of k - n, k = 0..2n (_centered_words).  z
-    (uint64) and out (float64) have the stacked shape (R, n+1) or
-    (R, n+1, n+1); z receives the hash words, and out is the finalizer's
-    scratch space until it receives the signs.  Each site costs one add and
-    one finalize:
+    Built for the seeds of R fields in dimension d up to time horizon; a call
+    with time n returns the packed slices of all R fields stacked on a
+    leading axis, shape (R, n+1) or (R, n+1, n+1), bit for bit the signs of
+    EnvironmentField.value.  The per-time states and the uint64 hash-word
+    buffer, sized for the slices at the horizon, are made once, so a pass
+    over many times allocates nothing per slice beyond its output when out
+    is not given.
+
+    Each site costs one add and one finalize:
 
     - d = 1: the word x = 2j - n of every site is added to the state of each
       field, then finalized.
@@ -129,62 +129,50 @@ def _stacked_signs(
       _GOLDEN, is a Toeplitz view of one (2n+1)-array shared by all fields.
       Their sum is finalized once per site.
     """
-    if d == 1:
-        np.add(states, words[::2], out=z)
-    else:
-        first = _finalize_vec(states + words)
-        second = words + np.uint64(_GOLDEN)
-        hankel = sliding_window_view(first, n + 1, axis=1)
-        toeplitz = sliding_window_view(second[::-1], n + 1)[::-1]
-        np.add(hankel, toeplitz, out=z)
-    bits = out.view(np.uint64)
-    _finalize_sign_bit(z, bits)
-    # Bit 63 of z becomes the sign bit of 1.0: set means -1.0.
-    np.bitwise_and(z, np.uint64(1 << 63), out=bits)
-    bits |= np.uint64(_ONE_BITS)
-    return out
-
-
-def _centered_words(n: int) -> np.ndarray:
-    """The words -n, ..., n as uint64 (two's complement)."""
-    return np.arange(-n, n + 1, dtype=np.int64).view(np.uint64)
-
-
-class SignHasher:
-    """Signs of one time slice of several fields, hashed in one vector pass.
-
-    Built for the seeds of R fields in dimension d up to time horizon; a call
-    with time n returns the packed slices of all R fields stacked on a
-    leading axis, shape (R, n+1) or (R, n+1, n+1), bit for bit the signs of
-    EnvironmentField.value (see _stacked_signs).  The per-time states and
-    the uint64 hash-word buffer, sized for the slices at the horizon, are
-    made once, so a pass over many times allocates nothing per slice
-    beyond its output when out is not given.
-    """
 
     def __init__(self, seeds, d: int, horizon: int) -> None:
         check_dim(d)
         self.d = d
         self.horizon = horizon
-        # Row n-1 holds hash_words(seed, n) + _GOLDEN for each field.
+        # Row n-1 holds hash_words(seed, n) + _GOLDEN for each field: the
+        # state after absorbing n, plus the _GOLDEN of the next absorb.
         seed_states = np.array(
             [(_finalize(seed + _GOLDEN) + _GOLDEN) & _MASK for seed in seeds], dtype=np.uint64
         )
         times = np.arange(1, horizon + 1, dtype=np.uint64)
         self._states = _finalize_vec(times[:, None] + seed_states)
         self._states += np.uint64(_GOLDEN)
-        self._words = _centered_words(horizon)
+        # The words -horizon, ..., horizon as uint64 (two's complement).
+        self._words = np.arange(-horizon, horizon + 1, dtype=np.int64).view(np.uint64)
         self._z = np.empty(len(seed_states) * slice_size(d, horizon), dtype=np.uint64)
 
     def __call__(self, n: int, out: np.ndarray | None = None) -> np.ndarray:
-        """Stacked +/-1.0 slices at time n, written into out if given."""
+        """Stacked +/-1.0 slices at time n, written into out if given.
+
+        out is the finalizer's scratch space until it receives the signs.
+        """
         if not 1 <= n <= self.horizon:
             raise ValueError(f"time {n} outside environment horizon [1, {self.horizon}]")
         states = self._states[n - 1, :, None]
         shape = states.shape[:1] + slice_shape(self.d, n)
         z = self._z[: states.shape[0] * slice_size(self.d, n)].reshape(shape)
-        words = self._words[self.horizon - n : self.horizon + n + 1]
-        return _stacked_signs(states, words, self.d, n, z, np.empty(shape) if out is None else out)
+        words = self._words[self.horizon - n : self.horizon + n + 1]  # k - n, k = 0..2n
+        if out is None:
+            out = np.empty(shape)
+        if self.d == 1:
+            np.add(states, words[::2], out=z)
+        else:
+            first = _finalize_vec(states + words)
+            second = words + np.uint64(_GOLDEN)
+            hankel = sliding_window_view(first, n + 1, axis=1)
+            toeplitz = sliding_window_view(second[::-1], n + 1)[::-1]
+            np.add(hankel, toeplitz, out=z)
+        bits = out.view(np.uint64)
+        _finalize_sign_bit(z, bits)
+        # Bit 63 of z becomes the sign bit of 1.0: set means -1.0.
+        np.bitwise_and(z, np.uint64(1 << 63), out=bits)
+        bits |= np.uint64(_ONE_BITS)
+        return out
 
 
 @dataclass(frozen=True)
@@ -210,15 +198,11 @@ class EnvironmentField:
         """Packed +/-1.0 float array over the parity slice at time n.
 
         Layout matches TransitionKernel layers (see walk module docstring).
-        This is the one-field case of the stacked hash SignHasher runs.
+        This is the one-field SignHasher call.
         """
         if not 1 <= n <= self.horizon:
             raise ValueError(f"time {n} outside environment horizon [1, {self.horizon}]")
-        state = (hash_words(self.seed, n) + _GOLDEN) & _MASK
-        shape = (1,) + slice_shape(self.d, n)
-        z = np.empty(shape, dtype=np.uint64)
-        states = np.array([[state]], dtype=np.uint64)
-        return _stacked_signs(states, _centered_words(n), self.d, n, z, np.empty(shape))[0]
+        return SignHasher([self.seed], self.d, n)(n)[0]
 
     def sign_stream(self, count: int) -> np.ndarray:
         """First `count` signs in canonical cone order (slices ascending,

@@ -134,14 +134,19 @@ class SummaryStats:
     metrics: dict = field(default_factory=dict)
 
 
-def simulate_replica(d: int, N: int, c: float, jobs) -> list[tuple]:
-    """One lockstep task: jobs is a list of (replica_id, seed); returns
-    (replica_id, seed, Z, K, msd, linear) per job, in order."""
+def simulate_replica(d: int, N: int, c: float, jobs) -> list[ReplicaResult]:
+    """One lockstep task: jobs is a list of (replica_id, seed); returns one
+    ReplicaResult per job, in order."""
     envs = [EnvironmentField(seed=seed, d=d, horizon=N) for _, seed in jobs]
     out = []
     for (replica_id, seed), layer in zip(jobs, engine.evolve_replicas(envs, c, N)):
-        obs = engine.observables(layer)
-        out.append((replica_id, seed, obs.Z, obs.K, obs.msd, layer.linear))
+        obs, lin = engine.observables(layer), layer.linear
+        out.append(
+            ReplicaResult(
+                replica_id=replica_id, seed=seed, d=d, N=N, c=c, Z=obs.Z, K=obs.K, msd=obs.msd,
+                linear=lin, remainder=obs.Z - 1.0 - lin,
+            )
+        )
     return out
 
 
@@ -166,22 +171,7 @@ def run_replicas(config: ExperimentConfig) -> list[ReplicaResult]:
     else:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             batches = list(pool.map(simulate_replica, *columns))
-    return [
-        ReplicaResult(
-            replica_id=replica_id,
-            seed=seed,
-            d=d,
-            N=N,
-            c=c,
-            Z=z,
-            K=k,
-            msd=msd,
-            linear=lin,
-            remainder=z - 1.0 - lin,
-        )
-        for (d, N, c, _), batch in zip(tasks, batches)
-        for replica_id, seed, z, k, msd, lin in batch
-    ]
+    return [result for batch in batches for result in batch]
 
 
 def _group(results) -> dict[tuple[int, int, float], list[ReplicaResult]]:

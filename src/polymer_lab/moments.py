@@ -113,44 +113,43 @@ def _renewal(N: int, c: float, d: int) -> np.ndarray:
     return np.concatenate(([1.0], g))
 
 
+def _lazy_step(arr: np.ndarray, axis: int) -> np.ndarray:
+    """One lazy +/-2 step of the difference walk along one axis: stay with
+    chance 1/2, move by -2 or +2 with chance 1/4 each; the axis grows by 2."""
+    shape = list(arr.shape)
+    shape[axis] += 2
+    new = np.zeros(shape)
+    lead = (slice(None),) * axis
+    new[lead + (slice(1, -1),)] += 0.5 * arr
+    new[lead + (slice(None, -2),)] += 0.25 * arr
+    new[lead + (slice(2, None),)] += 0.25 * arr
+    return new
+
+
 def ez2_pairwalk(N: int, c: float, d: int) -> float:
     """E[Z^2] via the difference walk D_n = omega(n) - omega~(n).
 
-    D is a lazy +/-2 walk (independent per diagonal axis for d = 2); each
-    visit to 0 multiplies the accumulated weight by 1 + c^2.  O(N^3) at
-    d = 2; the tests and the benchmark checks use it as a cross-check of
-    the renewal.
+    D is a lazy +/-2 walk, independent per diagonal axis; each visit to 0
+    multiplies the accumulated weight by 1 + c^2.  O(N^3) at d = 2; the
+    tests and the benchmark checks use it as a cross-check of the renewal.
     """
     _check_args(N, c, d)
     w = 1.0 + c * c
-    if d == 1:
-        arr = np.ones(1)
-        for n in range(1, N + 1):
-            new = np.zeros(arr.shape[0] + 2)
-            new[1:-1] += 0.5 * arr
-            new[:-2] += 0.25 * arr
-            new[2:] += 0.25 * arr
-            new[n] *= w
-            arr = new
-        return float(arr.sum())
-    arr = np.ones((1, 1))
+    arr = np.ones((1,) * d)
     for n in range(1, N + 1):
-        m = arr.shape[0]
-        tmp = np.zeros((m + 2, m))
-        tmp[1:-1] += 0.5 * arr
-        tmp[:-2] += 0.25 * arr
-        tmp[2:] += 0.25 * arr
-        new = np.zeros((m + 2, m + 2))
-        new[:, 1:-1] += 0.5 * tmp
-        new[:, :-2] += 0.25 * tmp
-        new[:, 2:] += 0.25 * tmp
-        new[n, n] *= w
-        arr = new
+        for axis in range(d):
+            arr = _lazy_step(arr, axis)
+        arr[(n,) * d] *= w
     return float(arr.sum())
 
 
 def ek2_pairwalk(N: int, c: float, d: int) -> float:
-    """E[K^2] via the joint pair state; needs both endpoints, hence the caps."""
+    """E[K^2] via the joint pair state; needs both endpoints, hence the caps.
+
+    The state has axes (walk 1's d diagonal axes, walk 2's), each in the
+    packed index of its slice; the walks collide where the two index tuples
+    agree.
+    """
     _check_args(N, c, d)
     cap = EK2_PAIRWALK_MAX_N[d]
     if N > cap:
@@ -168,23 +167,17 @@ def ek2_pairwalk(N: int, c: float, d: int) -> float:
         out *= 0.5
         return out
 
-    if d == 1:
-        arr = np.ones((1, 1))
-        for n in range(1, N + 1):
-            arr = grow(grow(arr, 0), 1)
-            ii = np.arange(n + 1)
-            arr[ii, ii] *= w
-        x = (2.0 * np.arange(N + 1) - N) ** 2
-        return float(np.einsum("ij,i,j->", arr, x, x))
-    arr = np.ones((1, 1, 1, 1))
+    arr = np.ones((1,) * (2 * d))
     for n in range(1, N + 1):
-        for ax in range(4):
-            arr = grow(arr, ax)
-        ii = np.arange(n + 1)
-        arr[ii[:, None], ii[None, :], ii[:, None], ii[None, :]] *= w
-    span = 2.0 * np.arange(N + 1) - N
-    sq = 0.5 * (span[:, None] ** 2 + span[None, :] ** 2)
-    return float(np.einsum("ijkl,ij,kl->", arr, sq, sq))
+        for axis in range(2 * d):
+            arr = grow(arr, axis)
+        site = tuple(np.indices((n + 1,) * d))
+        arr[site + site] *= w
+    # |x|^2 = u^2 in d = 1 and (u^2 + v^2)/2 in d = 2, u, v the diagonal
+    # coordinates 2j - N of the endpoint.
+    sq = sum(u * u for u in 2.0 * np.indices((N + 1,) * d) - N) / d
+    size = sq.size
+    return float(np.einsum("ij,i,j->", arr.reshape(size, size), sq.ravel(), sq.ravel()))
 
 
 @dataclass(frozen=True)
@@ -296,16 +289,17 @@ def weighted_fourth_sum(times, N: int, d: int) -> float:
     i_n = int(seq[-1])
     prev = seq - gaps  # i_{k-1}
     base = float((N - i_n) ** 2 + 2 * (N - i_n) * i_n)
-    if d == 1:
-        return base + float(3 * np.dot(gaps, gaps) - 2 * i_n + 6 * np.dot(gaps, prev))
-    return base + float(2 * np.dot(gaps, gaps) - i_n + 4 * np.dot(gaps, prev))
+    # (d + 2)/d (sum g^2 + 2 sum g i_{k-1}) - (2/d) i_n; exact in integers.
+    chain = (d + 2) * (np.dot(gaps, gaps) + 2 * np.dot(gaps, prev)) - 2 * i_n
+    return base + float(chain // d)
 
 
 def weighted_fourth_sum_direct(times, N: int, d: int) -> float:
     """Same sum evaluated by chaining packed-layer convolutions (no closed form)."""
+    walk.check_dim(d)
     seq = _check_times(times, N)
     gaps = np.diff(np.concatenate(([0], seq)))
-    dist = np.ones((1,) if d == 1 else (1, 1))
+    dist = np.ones((1,) * d)
     for g in gaps:
         # Displacement by an SRW bridge of length g: convolve with p0(g, .),
         # realized as g single steps of the shared stencil.
@@ -470,18 +464,11 @@ def pair_enumeration_moments(N: int, c: float, d: int) -> tuple[float, float]:
     # (2d)^N <= 4096 paths always fit in one batch.
     idx, end_sq = next(engine.path_batches(d, N))
     paths = end_sq.shape[0]
-    # Encode each visited site as a single integer per time step.
-    codes = np.empty((paths, N), dtype=np.int64)
-    for n in range(1, N + 1):
-        if d == 1:
-            codes[:, n - 1] = idx[n - 1]
-        else:
-            iu, iv = idx[n - 1]
-            codes[:, n - 1] = iu * (N + 2) + iv
     w = np.ones((paths, paths))
     c2 = 1.0 + c * c
-    for n in range(N):
-        col = codes[:, n]
+    for site in idx:
+        # Each visited site as a single integer.
+        col = np.ravel_multi_index(site, (N + 1,) * d)
         w *= np.where(col[:, None] == col[None, :], c2, 1.0)
     scale = float(2 * d) ** (-2 * N)
     ez2 = float(w.sum()) * scale

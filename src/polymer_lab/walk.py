@@ -176,14 +176,12 @@ class TransitionKernel:
 
 
 def as_point(x, d: int) -> tuple[int, ...]:
-    """Normalize a lattice point to a length-d tuple of ints."""
-    if d == 1:
-        if isinstance(x, (int, np.integer)):
-            return (int(x),)
-        (x1,) = x
-        return (int(x1),)
-    x1, x2 = x
-    return (int(x1), int(x2))
+    """Normalize a lattice point (an int stands for a 1-tuple) to a length-d
+    tuple of ints; a point with another number of coordinates is refused."""
+    pt = (x,) if isinstance(x, (int, np.integer)) else tuple(x)
+    if len(pt) != d:
+        raise ValueError(f"point {x!r} has {len(pt)} coordinate(s); d = {d} needs {d}")
+    return tuple(int(u) for u in pt)
 
 
 def build_kernel(d: int, n_max: int) -> TransitionKernel:

@@ -528,6 +528,18 @@ def test_threads_env_must_be_an_integer(capsys, monkeypatch):
     assert "--threads" in err
 
 
+@pytest.mark.parametrize("command", ["oracle", "clt"])
+def test_threads_env_is_ignored_where_there_is_no_threads_option(command, capsys, monkeypatch):
+    argv = [command, "--dim", "1", "--N", "4", "--eps", "0.1"]
+    monkeypatch.delenv("POLYMER_LAB_THREADS", raising=False)
+    code, want, _ = run_cli(argv, capsys)
+    assert code == 0
+    monkeypatch.setenv("POLYMER_LAB_THREADS", "two")
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+    assert out == want
+
+
 def test_missing_required_option(capsys):
     code, _, err = run_cli(["oracle", "--N", "8", "--eps", "0.25"], capsys)
     assert code == 2

@@ -53,12 +53,13 @@ def test_fused_replica_matches_composition():
         kern = walk.build_kernel(d, n)
         jobs = [(rep, environment.derive_replica_seed(5, d, rep)) for rep in range(3)]
         rows = harness.simulate_replica(d, n, c, jobs)
-        assert [row[:2] for row in rows] == jobs
-        for (_, seed), (_, _, z, k, msd, lin) in zip(jobs, rows):
+        assert [(r.replica_id, r.seed) for r in rows] == jobs
+        for (_, seed), r in zip(jobs, rows):
+            assert (r.d, r.N, r.c) == (d, n, c)
             env = environment.EnvironmentField(seed=seed, d=d, horizon=n)
             obs = engine.observables(engine.evolve_density(env, c, n))
-            assert (z, k, msd) == (obs.Z, obs.K, obs.msd)
-            assert lin == float(np.sum(fluctuation.linear_components(env, c, n, kern)))
+            assert (r.Z, r.K, r.msd) == (obs.Z, obs.K, obs.msd)
+            assert r.linear == float(np.sum(fluctuation.linear_components(env, c, n, kern)))
 
 
 def test_run_replicas_deterministic_across_workers():
@@ -122,7 +123,7 @@ def test_run_replicas_layout_and_seeds():
             want = environment.derive_replica_seed(9, grid_index, rep)
             assert rs[grid_index * 6 + rep].seed == want
     for r in rs:
-        assert r.remainder == pytest.approx(r.Z - 1.0 - r.linear, abs=1e-15)
+        assert r.remainder == r.Z - 1.0 - r.linear
 
 
 def test_zero_disorder_replicas():

@@ -130,6 +130,10 @@ def test_weighted_fourth_sum_validation():
         moments.weighted_fourth_sum((0,), 4, 1)
     with pytest.raises(ValueError):
         moments.weighted_fourth_sum((5,), 4, 1)  # beyond N
+    for route in (moments.weighted_fourth_sum, moments.weighted_fourth_sum_direct):
+        for d in (0, 3):
+            with pytest.raises(ValueError, match="dimension"):
+                route((1,), 2, d)
 
 
 def test_expansion_orders_positive_and_truncation():

@@ -196,6 +196,16 @@ def test_packed_index_round_trips_and_refuses(d, kernel1, kernel2):
                     env.value(n, x)
 
 
+def test_point_with_the_wrong_coordinate_count_is_a_value_error():
+    # The same mistake is refused alike in both dimensions, naming the point.
+    with pytest.raises(ValueError, match=r"point 5 has 1 coordinate\(s\); d = 2"):
+        walk.packed_index(2, 3, 5)
+    with pytest.raises(ValueError, match=r"point \(1, 2\) has 2 coordinate\(s\); d = 1"):
+        walk.packed_index(1, 3, (1, 2))
+    with pytest.raises(ValueError, match=r"point 0 has 1 coordinate\(s\); d = 2"):
+        environment.EnvironmentField(seed=1, d=2, horizon=4).value(2, 0)
+
+
 @pytest.mark.parametrize("d", [1, 2])
 def test_collision_layer_moments_match_direct_sums(d, kernel1, kernel2):
     kernel = kernel1 if d == 1 else kernel2
