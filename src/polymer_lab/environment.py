@@ -111,13 +111,13 @@ def _site_index(d: int, horizon: int, n: int, x) -> tuple[int, ...]:
 class SignHasher:
     """Signs of one time slice of several fields, hashed in one vector pass.
 
-    Built for the seeds of R fields in dimension d up to time horizon; a call
-    with time n returns the packed slices of all R fields stacked on a
-    leading axis, shape (R, n+1) or (R, n+1, n+1), bit for bit the signs of
-    EnvironmentField.value.  The per-time states and the uint64 hash-word
-    buffer, sized for the slices at the horizon, are made once, so a pass
-    over many times allocates nothing per slice beyond its output when out
-    is not given.
+    Built for the seeds of R fields in dimension d for the times first to
+    horizon (first defaults to 1); a call with time n returns the packed
+    slices of all R fields stacked on a leading axis, shape (R, n+1) or
+    (R, n+1, n+1), bit for bit the signs of EnvironmentField.value.  The
+    per-time states and the uint64 hash-word buffer, sized for the slices at
+    the horizon, are made once, so a pass over many times allocates nothing
+    per slice beyond its output when out is not given.
 
     Each site costs one add and one finalize:
 
@@ -130,16 +130,17 @@ class SignHasher:
       Their sum is finalized once per site.
     """
 
-    def __init__(self, seeds, d: int, horizon: int) -> None:
+    def __init__(self, seeds, d: int, horizon: int, first: int = 1) -> None:
         check_dim(d)
         self.d = d
         self.horizon = horizon
-        # Row n-1 holds hash_words(seed, n) + _GOLDEN for each field: the
+        self.first = first
+        # Row n-first holds hash_words(seed, n) + _GOLDEN for each field: the
         # state after absorbing n, plus the _GOLDEN of the next absorb.
         seed_states = np.array(
             [(_finalize(seed + _GOLDEN) + _GOLDEN) & _MASK for seed in seeds], dtype=np.uint64
         )
-        times = np.arange(1, horizon + 1, dtype=np.uint64)
+        times = np.arange(first, horizon + 1, dtype=np.uint64)
         self._states = _finalize_vec(times[:, None] + seed_states)
         self._states += np.uint64(_GOLDEN)
         # The words -horizon, ..., horizon as uint64 (two's complement).
@@ -151,9 +152,9 @@ class SignHasher:
 
         out is the finalizer's scratch space until it receives the signs.
         """
-        if not 1 <= n <= self.horizon:
-            raise ValueError(f"time {n} outside environment horizon [1, {self.horizon}]")
-        states = self._states[n - 1, :, None]
+        if not self.first <= n <= self.horizon:
+            raise ValueError(f"time {n} outside the hashed times [{self.first}, {self.horizon}]")
+        states = self._states[n - self.first, :, None]
         shape = states.shape[:1] + slice_shape(self.d, n)
         z = self._z[: states.shape[0] * slice_size(self.d, n)].reshape(shape)
         words = self._words[self.horizon - n : self.horizon + n + 1]  # k - n, k = 0..2n
@@ -198,11 +199,11 @@ class EnvironmentField:
         """Packed +/-1.0 float array over the parity slice at time n.
 
         Layout matches TransitionKernel layers (see walk module docstring).
-        This is the one-field SignHasher call.
+        This is the one-field SignHasher call, deriving time n's state alone.
         """
         if not 1 <= n <= self.horizon:
             raise ValueError(f"time {n} outside environment horizon [1, {self.horizon}]")
-        return SignHasher([self.seed], self.d, n)(n)[0]
+        return SignHasher([self.seed], self.d, n, first=n)(n)[0]
 
     def sign_stream(self, count: int) -> np.ndarray:
         """First `count` signs in canonical cone order (slices ascending,

@@ -26,7 +26,8 @@ Every quantity here is computed by at least two genuinely different routes:
 * expansion: per-order dynamic programming over the last collision time,
   carrying only the mass / |y|^2 / |y|^4 summaries of the last-collision
   site distribution (the terminal weight needs nothing more); one pass gives
-  the per-order terms of both E Z^2 and E K^2, which `oracle` prints;
+  the per-order terms of both E Z^2 and E K^2, which `oracle` prints, by
+  six _convolve_head calls per order (about N^2/2 multiply-adds each);
 * pairwalk: direct dynamic programming over the pair of walks (difference
   walk for Z^2, joint state for K^2) with multiplicative collision weights;
   O(N^3) and more, a cross-check only;
@@ -54,11 +55,14 @@ from .environment import enumerate_environments
 
 # Joint-state pair DP caps (a route only the tests take): O(N * slice^2) costs.
 EK2_PAIRWALK_MAX_N = {1: 512, 2: 48}
-# Collision-expansion caps (an O(N^2) convolution per order); they bound
-# `oracle`.
+# Collision-expansion caps (six head convolutions per order, each about
+# N^2/2 multiply-adds); they bound `oracle`.
 EXPANSION_MAX_N = {1: 4096, 2: 4096}
 # Orders with relative contribution below this are truncated.
 _ORDER_TAIL_REL = 1e-17
+# Block length of _convolve_head: 256 to 2048 time alike on 2 CPUs (128 is
+# slower), and a dot this short is never split across BLAS threads.
+_HEAD_BLOCK = 512
 
 
 def check_expansion_cap(N: int, d: int) -> None:
@@ -111,6 +115,21 @@ def _renewal(N: int, c: float, d: int) -> np.ndarray:
         # sum_{j=1}^{i-1} g(j) q(i - j); q(i - j) sits at q_rev[N - i + j].
         g[i - 1] = c2 * (q[i - 1] + float(np.dot(g[: i - 1], q_rev[N - i + 1 :])))
     return np.concatenate(([1.0], g))
+
+
+def _convolve_head(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
+    """The first m entries of a * b, zero-padded to m.
+
+    a goes in blocks of _HEAD_BLOCK; a block at index k meets only b[: m - k],
+    so the cost is about m^2/2 multiply-adds, not len(a) len(b).  No FFT: its
+    error scales with the largest entry, and late expansion orders sit far
+    below it.
+    """
+    out = np.zeros(m)
+    for k in range(0, min(len(a), m), _HEAD_BLOCK):
+        head = np.convolve(a[k : k + _HEAD_BLOCK], b[: m - k])[: m - k]
+        out[k : k + len(head)] += head
+    return out
 
 
 def _lazy_step(arr: np.ndarray, axis: int) -> np.ndarray:
@@ -243,13 +262,13 @@ def collision_expansions(N: int, c: float, d: int) -> tuple[CollisionExpansion, 
             break
         # Convolve in time with one more collision gap; index k of the
         # convolution output corresponds to time i = k + 2.
-        b0 = np.convolve(a0, q0)[: N - 1]
+        b0 = _convolve_head(a0, q0, N - 1)
         if k_open:
-            b2 = np.convolve(a2, q0)[: N - 1] + np.convolve(a0, q2)[: N - 1]
+            b2 = _convolve_head(a2, q0, N - 1) + _convolve_head(a0, q2, N - 1)
             b4 = (
-                np.convolve(a4, q0)[: N - 1]
-                + np.convolve(a0, q4)[: N - 1]
-                + cross * np.convolve(a2, q2)[: N - 1]
+                _convolve_head(a4, q0, N - 1)
+                + _convolve_head(a0, q4, N - 1)
+                + cross * _convolve_head(a2, q2, N - 1)
             )
             a2 = np.zeros(N)
             a2[1:] = c2 * b2
@@ -352,7 +371,7 @@ def centered_moments(N: int, c: float, d: int) -> ExactMoments:
     cm = walk.collision_layer_moments(d, N)
 
     def conv(a: np.ndarray, b: np.ndarray) -> np.ndarray:  # in time, truncated at N
-        return np.convolve(a, b)[: N + 1]
+        return _convolve_head(a, b, N + 1)
 
     q2, q4 = (np.concatenate(([0.0], m)) for m in (cm.sq, cm.quart))  # index = gap
     c2, uu = c * c, conv(u, u)
@@ -393,6 +412,8 @@ def _smallest_dominating_a(total: float, s: float, N: int, scale: float) -> floa
     lo = 0.0
     for _ in range(100):
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # adjacent floats: no later step moves hi
+            break
         if dominated(mid):
             hi = mid
         else:

@@ -221,5 +221,9 @@ def test_hasher_writes_into_out_and_reuses_its_buffers():
         hasher(10)
     with pytest.raises(ValueError):
         hasher(0)
+    late = environment.SignHasher(SEEDS, 2, 9, first=5)
+    assert late(5).tobytes() == first.tobytes()
+    with pytest.raises(ValueError):
+        late(4)
     with pytest.raises(ValueError):
         environment.SignHasher(SEEDS, 3, 9)

@@ -145,6 +145,48 @@ def test_expansion_orders_positive_and_truncation():
     assert exp.truncated or exp.orders.shape[0] == 201
 
 
+_B = moments._HEAD_BLOCK
+
+
+@pytest.mark.parametrize(
+    "m, len_b",
+    # len(b) > m, and one b shorter than m (the output's tail stays zero).
+    [(1, 9), (_B - 1, _B + 3), (_B, _B + 1), (_B + 1, 2 * _B), (3 * _B + 5, 3 * _B + 9),
+     (3 * _B + 5, _B)],
+)
+def test_convolve_head_matches_full_convolution(monkeypatch, m, len_b):
+    rng = np.random.default_rng(m)
+    a, b = rng.random(3 * _B + 20), rng.random(len_b)
+    want = np.zeros(m)
+    full = np.convolve(a, b)[:m]
+    want[: full.size] = full
+    shapes = []
+    real = np.convolve
+
+    def recording(x, y, *args, **kwargs):
+        shapes.append((len(x), len(y)))
+        return real(x, y, *args, **kwargs)
+
+    monkeypatch.setattr(np, "convolve", recording)
+    got = moments._convolve_head(a, b, m)
+    assert got.shape == (m,)
+    # Sums of nonnegative terms in another order: a few ulps, relative.
+    np.testing.assert_allclose(got, want, rtol=8 * np.finfo(float).eps, atol=0.0)
+    assert shapes and all(min(shape) <= _B for shape in shapes)
+
+
+def test_expansion_head_convolution_accuracy_at_strong_disorder(monkeypatch):
+    # The late orders are many decades below the early ones; a route whose
+    # error scales with an array's largest entry (an FFT) would move them.
+    n, c = 2048, 0.3
+    shipped = moments.collision_expansions(n, c, 1)
+    monkeypatch.setattr(moments, "_convolve_head", lambda a, b, m: np.convolve(a, b)[:m])
+    for got, want in zip(shipped, moments.collision_expansions(n, c, 1)):
+        assert got.orders.shape == want.orders.shape
+        assert np.all(got.orders > 0.0)
+        np.testing.assert_allclose(got.orders, want.orders, rtol=1e-14, atol=0.0)
+
+
 def _cancellation_tol(ek2: float) -> float:
     # Each route rounds E K^2 within a few ulps; var K = E K^2 - N^2 keeps
     # that absolute error however small var K is.
