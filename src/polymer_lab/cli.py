@@ -239,16 +239,13 @@ def _cmd_simulate(resolved: dict) -> int:
         "concentration": [asdict(r) for r in conc],
         "normality": [asdict(r) for r in norm],
     }
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if out:
-        outdir = Path(out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        with open(outdir / "replicas.csv", "w") as fh:
+        Path(out).mkdir(parents=True, exist_ok=True)
+        with open(Path(out) / "replicas.csv", "w") as fh:
             harness.write_csv(results, fh)
-        (outdir / "summary.json").write_text(text)
     else:
         harness.write_csv(results, sys.stdout)
-    sys.stdout.write(text)
+    _emit(payload, out)
     return _check_exit(resolved, conc, norm)
 
 

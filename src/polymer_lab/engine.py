@@ -9,21 +9,19 @@ carried on the packed parity slices from the walk module with two rolling
 layers.  Everything is plain float64; with 0 <= c < 1 every weight factor is
 positive, so no log-domain bookkeeping is needed, only an overflow guard.
 
-evolve_replicas is the only implementation of the recursion.  It cuts its
-environments into row blocks and advances each block in lockstep as one
-stack of layers, next to one rolling free-walk layer p0(n, .).  Per step, a
-block's slices of signs are hashed in one pass (SignHasher), and the
-stencil step and the weight multiply each run once over the whole stack;
-both are elementwise, so every row gets the bits a single layer would.  The
-signs serve both the weight multiply and the order-one chaos term
-f_n = c sum_x h(n, x) p0(n, x) of Z - 1.  The layer sums (overflow guard)
-and the sums of h * p0 are one row reduction each over the block: numpy's
-pairwise sum of every contiguous row, the order walk.lattice_sum gives a
-lone row.  A block's working arrays live in buffers allocated once per block
-and sized by _BLOCK_BYTES, and evolve_replicas yields the final layers block
-by block, so a caller that consumes each layer as it comes holds the memory
-of one block however many environments it runs.  evolve_density is the pass
-over one environment.
+evolve_replicas is the only implementation of the recursion.  It advances
+exactly the environments it is given in lockstep, as one stack of layers
+next to one rolling free-walk layer p0(n, .).  Per step, the stack's slices
+of signs are hashed in one pass (SignHasher), and the stencil step and the
+weight multiply each run once over the whole stack; both are elementwise,
+so every row gets the bits a single layer would.  The signs serve both the
+weight multiply and the order-one chaos term f_n = c sum_x h(n, x) p0(n, x)
+of Z - 1.  The layer sums (overflow guard) and the sums of h * p0 are one
+row reduction each over the stack: numpy's pairwise sum of every contiguous
+row, the order walk.lattice_sum gives a lone row.  block_rows(d, N) is how
+many rows a caller should stack so that the per-step arrays stay within
+_BLOCK_BYTES; harness.run_replicas cuts its tasks by it.  evolve_density is
+the pass over one environment.
 
 No sum here goes through BLAS (walk.lattice_sum says why): K in observables
 is walk.lattice_sum, and brute_force_observables sums its paths pairwise too.
@@ -34,7 +32,6 @@ independent check for the recursion on small N.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,8 +44,8 @@ DENSITY_SUM_LIMIT = 1e300
 # Path enumeration cap: (2d)^N <= 2^24.
 MAX_BRUTE_PATHS = 1 << 24
 _PATH_CHUNK = 1 << 16
-# evolve_replicas runs its environments in row blocks whose stacked per-step
-# arrays hold at most this many bytes each (one layer if a layer is larger).
+# A row block's stacked per-step arrays hold at most this many bytes each
+# (one layer if a layer is larger).
 _BLOCK_BYTES = 1 << 19
 
 
@@ -83,11 +80,20 @@ def _check_run_args(env, c: float, N: int) -> None:
         raise ValueError(f"environment horizon {env.horizon} < N = {N}")
 
 
-def evolve_replicas(envs, c: float, N: int) -> Iterator[DensityLayer]:
+def block_rows(d: int, N: int) -> int:
+    """Rows of a row block: the most layers at time N within _BLOCK_BYTES, at least one."""
+    return max(1, _BLOCK_BYTES // (8 * walk.slice_size(d, N)))
+
+
+def evolve_replicas(envs, c: float, N: int) -> list[DensityLayer]:
     """Run the density recursion to time N under each environment, in lockstep.
 
-    The arguments are checked at once; the final layers are then yielded in
-    environment order, each row block's computed when its first is asked for.
+    Returns one final layer per environment, in order; their values are the
+    rows of one stacked array.  The working arrays are flat buffers sized
+    for time N, allocated once; step n reads a contiguous prefix of each as
+    a stack of packed slices.
+    EnvironmentFields are hashed by one SignHasher; any other environment
+    fills its row from its own slice_signs.
     """
     if not envs:
         raise ValueError("need at least one environment")
@@ -96,23 +102,6 @@ def evolve_replicas(envs, c: float, N: int) -> Iterator[DensityLayer]:
         if env.d != d:
             raise ValueError("environments differ in dimension")
         _check_run_args(env, c, N)
-    rows = max(1, _BLOCK_BYTES // (8 * walk.slice_size(d, N)))
-    return (
-        layer
-        for lo in range(0, len(envs), rows)
-        for layer in _evolve_block(envs[lo : lo + rows], c, N)
-    )
-
-
-def _evolve_block(envs, c: float, N: int) -> list[DensityLayer]:
-    """evolve_replicas on one row block, its layers stacked on a leading axis.
-
-    The working arrays are flat buffers sized for time N, allocated once;
-    step n reads a contiguous prefix of each as a stack of packed slices.
-    A block of EnvironmentFields is hashed by one SignHasher; any other
-    environment fills its row from its own slice_signs.
-    """
-    d = envs[0].d
     count = len(envs)
     if all(isinstance(env, EnvironmentField) for env in envs):
         hasher = SignHasher([env.seed for env in envs], d, N)
@@ -157,7 +146,7 @@ def _evolve_block(envs, c: float, N: int) -> list[DensityLayer]:
 
 def evolve_density(env, c: float, N: int) -> DensityLayer:
     """Run the density recursion to time N under the given environment."""
-    return next(evolve_replicas([env], c, N))
+    return evolve_replicas([env], c, N)[0]
 
 
 def observables(layer: DensityLayer) -> PolymerObservables:
@@ -168,7 +157,7 @@ def observables(layer: DensityLayer) -> PolymerObservables:
     return PolymerObservables(Z=z, K=k, msd=k / z)
 
 
-def path_batches(d: int, N: int, max_paths: int = MAX_BRUTE_PATHS):
+def path_batches(d: int, N: int):
     """Enumerate all (2d)^N nearest-neighbour paths in vectorized chunks.
 
     Yields (indices, endpoint_sqnorm) where indices is a length-N list with
@@ -178,8 +167,8 @@ def path_batches(d: int, N: int, max_paths: int = MAX_BRUTE_PATHS):
     step give the independent +/-1 increments of the d diagonal axes.
     """
     total = (2 * d) ** N
-    if total > max_paths:
-        raise ValueError(f"(2d)^N = {total} exceeds enumeration cap {max_paths}")
+    if total > MAX_BRUTE_PATHS:
+        raise ValueError(f"(2d)^N = {total} exceeds enumeration cap {MAX_BRUTE_PATHS}")
     for lo in range(0, total, _PATH_CHUNK):
         hi = min(lo + _PATH_CHUNK, total)
         codes = np.arange(lo, hi, dtype=np.int64)

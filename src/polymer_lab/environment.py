@@ -205,21 +205,6 @@ class EnvironmentField:
             raise ValueError(f"time {n} outside environment horizon [1, {self.horizon}]")
         return SignHasher([self.seed], self.d, n, first=n)(n)[0]
 
-    def sign_stream(self, count: int) -> np.ndarray:
-        """First `count` signs in canonical cone order (slices ascending,
-        packed index ascending); used by the fairness diagnostics."""
-        out = []
-        total = 0
-        n = 0
-        while total < count:
-            n += 1
-            if n > self.horizon:
-                raise ValueError(f"horizon {self.horizon} too small for {count} sites")
-            s = self.slice_signs(n).ravel()
-            out.append(s)
-            total += s.size
-        return np.concatenate(out)[:count]
-
 
 @dataclass(frozen=True)
 class EnvironmentTable:

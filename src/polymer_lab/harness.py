@@ -1,16 +1,14 @@
 """Deterministic replica harness: parallel runs, concentration and normality reports.
 
 Replicas are embarrassingly parallel and completely determined by their
-derived seeds.  run_replicas cuts each grid point's replicas into one task
-of consecutive replicas per worker, runs every task through one lockstep
-pass of engine.evolve_replicas, and reassembles the results in replica
-order.  The pass yields each replica's final layer and linear term row
-block by row block, and simulate_replica turns each layer into Z, K and
-msd as it comes, so a task's memory is that of one row block, whatever its
-size.  Every replica's numbers come from the same operations whatever task
-or block it lands in, so output bytes are identical for any worker count.
-No transition kernel is built: the linear term reads the pass's rolling
-free-walk layer.
+derived seeds.  run_replicas cuts each grid point's replicas into tasks of
+consecutive replicas, each at most a worker's share and at most
+engine.block_rows(d, N) replicas, which bounds a task's working memory.
+Each task is one lockstep pass of engine.evolve_replicas, and the results are
+reassembled in replica order.  Every replica's numbers come from the same
+operations whatever task it lands in, so output bytes are identical for any
+worker count.  No transition kernel is built: the linear term reads the
+pass's rolling free-walk layer.
 
 The exact moments a run's reports compare against come from exact_moments,
 once per grid point; the CLI calls it before it samples any replica.  The
@@ -135,8 +133,8 @@ class SummaryStats:
 
 
 def simulate_replica(d: int, N: int, c: float, jobs) -> list[ReplicaResult]:
-    """One lockstep task: jobs is a list of (replica_id, seed); returns one
-    ReplicaResult per job, in order."""
+    """One lockstep task, a row block: jobs is a list of (replica_id, seed);
+    returns one ReplicaResult per job, in order."""
     envs = [EnvironmentField(seed=seed, d=d, horizon=N) for _, seed in jobs]
     out = []
     for (replica_id, seed), layer in zip(jobs, engine.evolve_replicas(envs, c, N)):
@@ -163,7 +161,7 @@ def run_replicas(config: ExperimentConfig) -> list[ReplicaResult]:
             (r, derive_replica_seed(config.master_seed, grid_index, r))
             for r in range(config.replicas)
         ]
-        size = math.ceil(len(jobs) / config.workers)
+        size = min(math.ceil(len(jobs) / config.workers), engine.block_rows(config.d, N))
         tasks += [(config.d, N, c, jobs[i : i + size]) for i in range(0, len(jobs), size)]
     columns = list(zip(*tasks))
     if config.workers == 1:

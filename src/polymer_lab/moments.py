@@ -294,51 +294,6 @@ def ek2_expansion(N: int, c: float, d: int) -> CollisionExpansion:
     return collision_expansions(N, c, d)[1]
 
 
-def weighted_fourth_sum(times, N: int, d: int) -> float:
-    """Closed form of the chain-weighted fourth-moment sum
-
-        sum_{x_1..x_n} prod_k p0(i_k - i_{k-1}, x_k - x_{k-1})
-            * ((N - i_n)^2 + 2 (N - i_n) |x_n|^2 + |x_n|^4)
-
-    for a strictly increasing collision-time sequence `times` inside [1, N].
-    """
-    walk.check_dim(d)
-    seq = _check_times(times, N)
-    gaps = np.diff(np.concatenate(([0], seq)))
-    i_n = int(seq[-1])
-    prev = seq - gaps  # i_{k-1}
-    base = float((N - i_n) ** 2 + 2 * (N - i_n) * i_n)
-    # (d + 2)/d (sum g^2 + 2 sum g i_{k-1}) - (2/d) i_n; exact in integers.
-    chain = (d + 2) * (np.dot(gaps, gaps) + 2 * np.dot(gaps, prev)) - 2 * i_n
-    return base + float(chain // d)
-
-
-def weighted_fourth_sum_direct(times, N: int, d: int) -> float:
-    """Same sum evaluated by chaining packed-layer convolutions (no closed form)."""
-    walk.check_dim(d)
-    seq = _check_times(times, N)
-    gaps = np.diff(np.concatenate(([0], seq)))
-    dist = np.ones((1,) * d)
-    for g in gaps:
-        # Displacement by an SRW bridge of length g: convolve with p0(g, .),
-        # realized as g single steps of the shared stencil.
-        for _ in range(int(g)):
-            dist = walk.step_layer(dist, d)
-    i_n = int(seq[-1])
-    sq = walk.slice_sqnorm(d, i_n)
-    w = (N - i_n) ** 2 + 2.0 * (N - i_n) * sq + sq * sq
-    return walk.lattice_sum(dist, w)
-
-
-def _check_times(times, N: int) -> np.ndarray:
-    seq = np.asarray(list(times), dtype=np.int64)
-    if seq.size == 0:
-        raise ValueError("time sequence must be nonempty")
-    if seq[0] < 1 or seq[-1] > N or np.any(np.diff(seq) <= 0):
-        raise ValueError(f"times must be strictly increasing inside [1, {N}]")
-    return seq
-
-
 @dataclass(frozen=True)
 class ExactMoments:
     """E Z^2, var Z, var K (summed directly, not as E K^2 - N^2), and the

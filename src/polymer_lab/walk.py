@@ -71,9 +71,9 @@ def step_layer(layer: np.ndarray, d: int, out: np.ndarray | None = None) -> np.n
     """One nearest-neighbour convolution step in packed coordinates.
 
     Maps the packed slice at time n to the packed slice at time n+1.  Shared
-    by the kernel builder, the polymer density recursion and
-    moments.weighted_fourth_sum_direct, so that all three apply the identical
-    stencil (the pair-walk dynamic programs keep their own).
+    by the kernel builder and the polymer density recursion, so that both
+    apply the identical stencil (the pair-walk dynamic programs keep their
+    own).
     Leading axes of layer are a stack of slices, each stepped alone, bit for
     bit as on its own.  out, if given, receives the result and must have its
     shape.
@@ -260,23 +260,6 @@ def collision_mass(kernel: TransitionKernel, n: int) -> float:
         raise ValueError(f"collision check at n={n} needs kernel depth {2 * n}")
     lay = kernel.layer(n)
     return lattice_sum(lay, lay)
-
-
-def return_probability(d: int, n: int) -> float:
-    """Exact p0(n, 0): the central binomial value, squared for d = 2.
-
-    Evaluated by the stable product  prod_{j<=n/2} (2j-1)/(2j), not by the
-    Gaussian asymptotic, so deep sweeps stay exact without dense layers.
-    """
-    check_dim(d)
-    if n < 0:
-        raise ValueError("time must be nonnegative")
-    if n % 2:
-        return 0.0
-    p = 1.0
-    for j in range(1, n // 2 + 1):
-        p *= (2 * j - 1) / (2 * j)
-    return p if d == 1 else p * p
 
 
 def central_return_sequence(d: int, k_max: int) -> np.ndarray:

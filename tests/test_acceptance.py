@@ -167,7 +167,6 @@ def test_criterion_4_hand_values():
     for d in (1, 2):
         for n in (1, 4, 9):
             devs.append(abs(moments.ek2_pairwalk(n, 0.0, d) - float(n) * n) / (float(n) * n))
-    devs.append(abs(moments.weighted_fourth_sum((1,), 3, 1) - 9.0))
     worst = max(devs)
     ok = worst < 1e-12
     assert _report("4 hand-values", ok, f"max abs/rel dev {worst:.2e}")

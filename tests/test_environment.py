@@ -130,13 +130,6 @@ def test_fairness_at_frozen_seed():
     assert abs(float(np.mean(cur * nxt))) < 4.0 / np.sqrt(cur.size)
 
 
-def test_sign_stream_matches_slice_order():
-    field = environment.EnvironmentField(seed=9, d=1, horizon=6)
-    stream = field.sign_stream(2 + 3 + 4)
-    want = np.concatenate([field.slice_signs(n) for n in (1, 2, 3)])
-    assert np.array_equal(stream, want)
-
-
 def test_constant_table():
     tab = environment.EnvironmentTable.constant(1, 5, -1.0)
     assert tab.value(3, (1,)) == -1.0

@@ -107,10 +107,9 @@ def test_orthogonality_exhaustive(d, horizon):
     # E f_j f_k = 0 off diagonal; E f_k^2 = c^2 p0(2k, 0)
     off = mean_outer - np.diag(np.diag(mean_outer))
     assert float(np.abs(off).max()) < 1e-12
+    returns = walk.central_return_sequence(d, horizon)
     for k in range(1, horizon + 1):
-        assert mean_outer[k - 1, k - 1] == pytest.approx(
-            c * c * walk.return_probability(d, 2 * k), abs=1e-12
-        )
+        assert mean_outer[k - 1, k - 1] == pytest.approx(c * c * returns[k - 1], abs=1e-12)
     assert abs(lin_rem / count) < 1e-12
     assert lin_sq / count == pytest.approx(
         fluctuation.linear_variance_exact(horizon, c, d), rel=1e-12

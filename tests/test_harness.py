@@ -80,35 +80,83 @@ def _csv_bytes(config) -> str:
 
 
 def test_batch_split_keeps_bytes():
-    # One task per worker: 10 replicas make tasks of 5+5 at 2 workers and
-    # 4+4+2 at 3, each cut into different row blocks.
+    # A row block here holds more than 10 replicas, so the tasks are the
+    # workers' shares: 5+5 at 2 workers and 4+4+2 at 3.
     base = dict(d=1, eps=0.25, n_grid=(8, 16), replicas=10, master_seed=42)
     unsplit = _csv_bytes(harness.ExperimentConfig(**base))
     for workers in (2, 3):
         assert _csv_bytes(harness.ExperimentConfig(**base, workers=workers)) == unsplit
 
 
-def _task_working_memory(d, N, count) -> int:
-    """Peak minus held traced memory of one lockstep task of count replicas."""
-    jobs = [(r, environment.derive_replica_seed(3, d, r)) for r in range(count)]
+def _one_point(d, N, replicas, workers=1) -> harness.ExperimentConfig:
+    return harness.ExperimentConfig(
+        d=d, n_grid=(N,), c_override=0.3, replicas=replicas, master_seed=3, workers=workers
+    )
+
+
+def _record_task_sizes(monkeypatch) -> list[int]:
+    """Make simulate_replica record the size of every task it is handed."""
+    sizes = []
+    inner = harness.simulate_replica
+
+    def recording(d, N, c, jobs):
+        sizes.append(len(jobs))
+        return inner(d, N, c, jobs)
+
+    monkeypatch.setattr(harness, "simulate_replica", recording)
+    return sizes
+
+
+def test_run_tasks_hold_at_most_a_row_block(monkeypatch):
+    monkeypatch.setattr(engine, "_BLOCK_BYTES", 1 << 14)
+    sizes = _record_task_sizes(monkeypatch)
+    for d, N in ((1, 64), (2, 16)):
+        for replicas in (150, 600):
+            sizes.clear()
+            assert len(harness.run_replicas(_one_point(d, N, replicas))) == replicas
+            assert sum(sizes) == replicas
+            assert max(sizes) <= engine.block_rows(d, N)
+
+
+def _run_working_memory(d, N, replicas) -> int:
+    """Peak minus held traced memory of a one-worker run."""
     tracemalloc.start()
     try:
-        rows = harness.simulate_replica(d, N, 0.3, jobs)
+        results = harness.run_replicas(_one_point(d, N, replicas))
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(rows) == count
+    assert len(results) == replicas
     return peak - held
 
 
-def test_task_memory_is_set_by_the_row_block(monkeypatch):
-    # A task turns each layer into observables as the pass yields it, so
-    # its working memory is about one row block's however many replicas it
-    # runs: only the per-replica bookkeeping grows.  Holding every final
-    # layer until the task ends would grow it with the task size.
+def test_run_memory_is_set_by_the_row_block(monkeypatch):
+    # numpy reports its buffers to tracemalloc.  A run steps one row block
+    # at a time, so its working memory beyond the results it returns is
+    # about one block's however many replicas it runs: only the per-replica
+    # bookkeeping grows.  One stack over all replicas would grow with them.
     monkeypatch.setattr(engine, "_BLOCK_BYTES", 1 << 14)
     for d, N in ((1, 64), (2, 16)):
-        assert _task_working_memory(d, N, 600) < 1.5 * _task_working_memory(d, N, 150)
+        assert _run_working_memory(d, N, 600) < 1.5 * _run_working_memory(d, N, 150)
+
+
+def test_tasks_across_the_row_block_cap_keep_bytes(monkeypatch):
+    # At d = 2, N = 130 a row block holds 3 replicas, so 5 replicas run as
+    # tasks of 3+2 on one worker and of 2+2+1 on three.
+    d, N = 2, 130
+    assert engine.block_rows(d, N) == 3
+    sizes = _record_task_sizes(monkeypatch)
+    one = harness.run_replicas(_one_point(d, N, 5))
+    assert sizes == [3, 2]
+    monkeypatch.undo()
+    buf = io.StringIO()
+    harness.write_csv(one, buf)
+    assert _csv_bytes(_one_point(d, N, 5, workers=3)) == buf.getvalue()
+    for r in one:
+        env = environment.EnvironmentField(seed=r.seed, d=d, horizon=N)
+        layer = engine.evolve_density(env, r.c, N)
+        obs = engine.observables(layer)
+        assert (r.Z, r.K, r.linear) == (obs.Z, obs.K, layer.linear)
 
 
 def test_run_replicas_layout_and_seeds():

@@ -101,41 +101,6 @@ def test_environment_average_matches_oracles(d, horizon):
     assert sums["mean_K2"] == pytest.approx(moments.ek2_pairwalk(horizon, c, d), rel=1e-12)
 
 
-def test_weighted_fourth_sum_hand_values():
-    assert moments.weighted_fourth_sum((1,), 3, 1) == 9.0
-    assert moments.weighted_fourth_sum((1, 2), 2, 1) == 8.0
-
-
-@given(
-    d=st.sampled_from([1, 2]),
-    data=st.data(),
-)
-@settings(max_examples=50, deadline=None)
-def test_weighted_fourth_sum_closed_form(d, data):
-    n = data.draw(st.integers(min_value=1, max_value=10))
-    times = sorted(
-        data.draw(
-            st.sets(st.integers(min_value=1, max_value=n), min_size=1, max_size=min(n, 5))
-        )
-    )
-    a = moments.weighted_fourth_sum(tuple(times), n, d)
-    b = moments.weighted_fourth_sum_direct(tuple(times), n, d)
-    assert a == pytest.approx(b, rel=1e-12)
-
-
-def test_weighted_fourth_sum_validation():
-    with pytest.raises(ValueError):
-        moments.weighted_fourth_sum((2, 2), 4, 1)  # not strictly increasing
-    with pytest.raises(ValueError):
-        moments.weighted_fourth_sum((0,), 4, 1)
-    with pytest.raises(ValueError):
-        moments.weighted_fourth_sum((5,), 4, 1)  # beyond N
-    for route in (moments.weighted_fourth_sum, moments.weighted_fourth_sum_direct):
-        for d in (0, 3):
-            with pytest.raises(ValueError, match="dimension"):
-                route((1,), 2, d)
-
-
 def test_expansion_orders_positive_and_truncation():
     exp = moments.ez2_expansion(200, 0.2, 1)
     assert exp.orders[0] == 1.0

@@ -101,32 +101,22 @@ def test_moment_kind_validation(kernel1):
 @pytest.mark.parametrize("d", [1, 2])
 def test_collision_identity(d, kernel1, kernel2):
     kernel = kernel1 if d == 1 else kernel2
+    seq = walk.central_return_sequence(d, kernel.n_max // 2)
     for n in range(1, kernel.n_max // 2 + 1):
         lhs = walk.collision_mass(kernel, n)
         assert abs(lhs - kernel.probability(2 * n, (0,) * d)) < 1e-12
-        assert abs(lhs - walk.return_probability(d, 2 * n)) < 1e-12
+        assert abs(lhs - seq[n - 1]) < 1e-12
 
 
 def test_return_probability_exact_values():
-    assert walk.return_probability(1, 0) == 1.0
-    assert walk.return_probability(1, 1) == 0.0
-    assert walk.return_probability(1, 2) == 0.5
-    assert walk.return_probability(1, 4) == 0.375
-    assert walk.return_probability(2, 2) == 0.25
-    assert walk.return_probability(2, 4) == 0.140625
-
-
-def test_central_return_sequence_matches_products():
-    for d in (1, 2):
-        seq = walk.central_return_sequence(d, 200)
-        for k in (1, 7, 64, 200):
-            assert seq[k - 1] == pytest.approx(walk.return_probability(d, 2 * k), rel=1e-15)
+    assert walk.central_return_sequence(1, 2).tolist() == [0.5, 0.375]
+    assert walk.central_return_sequence(2, 2).tolist() == [0.25, 0.140625]
 
 
 def test_return_probability_asymptotics():
     # p0(2k, 0) ~ (pi k)^(-d/2)
     for d, k in ((1, 4000), (2, 4000)):
-        ratio = walk.return_probability(d, 2 * k) * (math.pi * k) ** (d / 2.0)
+        ratio = walk.central_return_sequence(d, k)[k - 1] * (math.pi * k) ** (d / 2.0)
         assert abs(ratio - 1.0) < 1e-3
 
 
@@ -221,8 +211,7 @@ def test_collision_layer_moments_match_direct_sums(d, kernel1, kernel2):
 
 def test_collision_layer_moments_d2_factorisation_full_depth(kernel2):
     # The d = 2 pass holds only the 1-D binomial layer; pin it at every depth
-    # the dense 2-D kernel holds, against the 2-D lattice sums and against
-    # the collision identity sum_x p0(g, x)^2 = p0(2g, 0).
+    # the dense 2-D kernel holds, against the 2-D lattice sums.
     depth = kernel2.n_max
     q = walk.collision_layer_moments(2, depth)
     assert q.mass.shape == q.sq.shape == q.quart.shape == (depth,)
@@ -230,7 +219,6 @@ def test_collision_layer_moments_d2_factorisation_full_depth(kernel2):
         q2 = kernel2.layer(g) ** 2
         sq = walk.slice_sqnorm(2, g)
         assert q.mass[g - 1] == pytest.approx(float(q2.sum()), rel=1e-13)
-        assert q.mass[g - 1] == pytest.approx(walk.return_probability(2, 2 * g), rel=1e-13)
         assert q.sq[g - 1] == pytest.approx(float((q2 * sq).sum()), rel=1e-13)
         assert q.quart[g - 1] == pytest.approx(float((q2 * sq * sq).sum()), rel=1e-13)
 
