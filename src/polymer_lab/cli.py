@@ -137,11 +137,11 @@ def _rule(resolved: dict) -> fluctuation.ScalingRule:
 def _cmd_oracle(resolved: dict) -> int:
     _require(resolved, "dim", "N")
     rule = _rule(resolved)
+    grid = rule.grid(resolved["N"])
     d = rule.d
     moments.check_expansion_cap(max(resolved["N"]), d)
     rows = []
-    for N in resolved["N"]:
-        c = rule.c_of(N)
+    for N, c in grid:
         cal = moments.calibrate(N, c, d)
         rows.append(
             {
@@ -169,18 +169,16 @@ def _cmd_oracle(resolved: dict) -> int:
 def _cmd_clt(resolved: dict) -> int:
     _require(resolved, "dim", "N", "eps")
     d = resolved["dim"]
-    eps = resolved["eps"]
     rule = _rule(resolved)
+    grid = [(N, c, rule.a_of(N, c)) for N, c in rule.grid(resolved["N"])]
     rows = []
-    for N in resolved["N"]:
-        c = rule.c_of(N)
-        a = rule.a_of(N)
+    for N, c, a in grid:
         rem = moments.centered_moments(N, c, d).rem_var
         rows.append(
             {
                 "d": d,
                 "N": N,
-                "eps": eps,
+                "eps": resolved["eps"],
                 "c": c,
                 "a": a,
                 "sigma2": fluctuation.limit_variance(d, N),
@@ -211,11 +209,9 @@ def _experiment_config(resolved: dict) -> harness.ExperimentConfig:
 
 def _run_and_report(resolved: dict) -> tuple[list, list, list]:
     config = _experiment_config(resolved)
-    exact = harness.exact_moments(config)
-    results = harness.run_replicas(config)
-    conc = harness.concentration_report(results, exact, config.eps_prob)
-    norm = harness.normality_report(results, exact, config.rule())
-    return results, conc, norm
+    points = harness.run_replicas(config)
+    conc = harness.concentration_report(points, config.eps_prob)
+    return points, conc, harness.normality_report(points)
 
 
 def _check_exit(resolved: dict, conc: list, norm: list) -> int:
@@ -233,7 +229,7 @@ def _cmd_simulate(resolved: dict) -> int:
             f"simulate writes replicas.csv and summary.json into the directory --out, "
             f"so --out takes a directory name, got {out!r}"
         )
-    results, conc, norm = _run_and_report(resolved)
+    points, conc, norm = _run_and_report(resolved)
     payload = {
         "config": _echo(resolved, "simulate"),
         "concentration": [asdict(r) for r in conc],
@@ -242,9 +238,9 @@ def _cmd_simulate(resolved: dict) -> int:
     if out:
         Path(out).mkdir(parents=True, exist_ok=True)
         with open(Path(out) / "replicas.csv", "w") as fh:
-            harness.write_csv(results, fh)
+            harness.write_csv(points, fh)
     else:
-        harness.write_csv(results, sys.stdout)
+        harness.write_csv(points, sys.stdout)
     _emit(payload, out)
     return _check_exit(resolved, conc, norm)
 
@@ -296,3 +292,7 @@ def parse_and_dispatch(argv: list[str]) -> int:
 
 def main() -> None:
     sys.exit(parse_and_dispatch(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -64,19 +64,34 @@ class ScalingRule:
         if self.c is not None and not 0.0 <= self.c < 1.0:
             raise ValueError(f"c must satisfy 0 <= c < 1 (--c), got {self.c}")
 
+    def grid(self, ns) -> list[tuple[int, float]]:
+        """(N, c_N) for each N of a --N grid, in the order given.  Refuses an
+        N < 1, an N given twice and (c_of) an N with c_N >= 1, naming --N."""
+        for i, N in enumerate(ns):
+            if N < 1:
+                raise ValueError(f"--N must be >= 1, got {N}")
+            if N in ns[:i]:
+                raise ValueError(f"--N {N} is given twice")
+        return [(N, self.c_of(N)) for N in ns]
+
     def c_of(self, N: int) -> float:
         if self.c is not None:
             return self.c
-        self._check_n(N)
+        # At any eps > 0, c_N < 1 exactly from N^(1/4) > 1 (N >= 2) in d = 1
+        # and from log N > 1 (N >= 3) in d = 2.
+        smallest = 2 if self.d == 1 else 3
+        if N < smallest:
+            raise ValueError(f"c_N >= 1 at --N {N} for d = {self.d}; choose --N >= {smallest}")
         if self.d == 1:
             return float(N) ** -(0.25 + self.eps)
         return math.log(N) ** -(0.5 + self.eps)
 
     def a_of(self, N: int, c: float | None = None) -> float:
         """Normalizer for Z - 1 at the rule's c, or at an explicit c."""
-        self._check_n(N)
         if c is None:
             c = self.c_of(N)
+        if N < self.d:  # the collision scale is 0 at N = 1 in d = 2 (log N)
+            raise ValueError(f"a_N needs N >= {self.d} for d = {self.d}; choose --N >= {self.d}")
         if not c > 0.0:
             raise ValueError("normalizer a_N undefined at c = 0; choose --c > 0")
         s = c * c * walk.collision_scale(self.d, N)
@@ -87,12 +102,6 @@ class ScalingRule:
                 f"underflows float64; choose a larger --c"
             )
         return s ** -0.5
-
-    def _check_n(self, N: int) -> None:
-        if self.d == 2 and N < 2:
-            raise ValueError("d = 2 scaling needs N >= 2 (log N must be positive); choose --N >= 2")
-        if N < 1:
-            raise ValueError(f"--N must be >= 1, got {N}")
 
 
 def scaling(d: int, eps: float) -> ScalingRule:

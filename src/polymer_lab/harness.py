@@ -1,18 +1,17 @@
 """Deterministic replica harness: parallel runs, concentration and normality reports.
 
-Replicas are embarrassingly parallel and completely determined by their
-derived seeds.  run_replicas cuts each grid point's replicas into tasks of
-consecutive replicas, each at most a worker's share and at most
-engine.block_rows(d, N) replicas, which bounds a task's working memory.
-Each task is one lockstep pass of engine.evolve_replicas, and the results are
-reassembled in replica order.  Every replica's numbers come from the same
-operations whatever task it lands in, so output bytes are identical for any
-worker count.  No transition kernel is built: the linear term reads the
-pass's rolling free-walk layer.
-
-The exact moments a run's reports compare against come from exact_moments,
-once per grid point; the CLI calls it before it samples any replica.  The
-reports take those values as input and call no oracle.
+run_replicas hands on one GridSample per grid point: d, N, c, a_N, the
+point's exact-moment record (all built before any replica is sampled), the
+replica seeds and the per-replica float64 columns.  It cuts each point's
+seeds into tasks of consecutive replicas, each at most a worker's share and
+at most engine.block_rows(d, N), which bounds a task's working memory.  A
+task is one lockstep pass of engine.evolve_replicas and returns its block of
+the columns Z, K and linear, joined in replica order.  Every replica depends
+only on its derived seed, so output bytes are identical for any worker
+count.  No transition kernel is built: the linear term reads the pass's
+rolling free-walk layer.  The CSV writer and both reports read the records
+alone; a new per-replica number is one more column of the record and one
+more CSV_COLUMNS name.
 """
 
 from __future__ import annotations
@@ -38,8 +37,8 @@ CSV_COLUMNS = (
     "linear",
     "remainder",
 )
-# Largest N the sampler runs (a d = 2 layer at N = 4096 is 134 MB);
-# exact_moments has no cap.
+# Largest N the sampler runs (a d = 2 layer at N = 4096 is 134 MB); the
+# exact-moment renewal has no cap.
 SAMPLER_MAX_N = {1: 4096, 2: 4096}
 
 
@@ -62,23 +61,19 @@ class ExperimentConfig:
         grid = self.n_grid
         if not grid or list(grid) != sorted(grid):
             raise ValueError(f"n_grid must be nonempty and sorted, got {grid}")
-        if grid[0] < 1:
-            raise ValueError(f"--N must be >= 1, got {grid[0]}")
-        for n, after in zip(grid, grid[1:]):
-            if n == after:
-                raise ValueError(f"--N {n} is given twice")
+        # The rule refuses a bad eps or c, and a bad grid point naming --N.
+        # a_N is validated wherever c > 0 (the normality report needs it),
+        # which refuses N = 1 for d = 2.
+        rule = self.rule()
+        for n, c in rule.grid(grid):
+            if c > 0.0:
+                rule.a_of(n, c)
         if self.replicas < 1:
             raise ValueError(f"replicas must be >= 1 (--replicas), got {self.replicas}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1 (--threads), got {self.workers}")
         if not 0.0 < self.eps_prob < 1.0:
             raise ValueError(f"eps_prob must lie in (0, 1) (--eps-prob), got {self.eps_prob}")
-        # The rule refuses a bad eps or c.  a_N is validated wherever c > 0
-        # (the normality report needs it), which refuses N = 1 for d = 2.
-        rule = self.rule()
-        for n in grid:
-            if rule.c_of(n) > 0.0:
-                rule.a_of(n)
         # Refused before any replica is sampled.
         cap = SAMPLER_MAX_N[self.d]
         if self.n_grid[-1] > cap:
@@ -90,22 +85,42 @@ class ExperimentConfig:
     def rule(self) -> fluctuation.ScalingRule:
         return fluctuation.ScalingRule(self.d, self.eps, self.c_override)
 
-    def c_of(self, N: int) -> float:
-        return self.rule().c_of(N)
 
+@dataclass(frozen=True, eq=False)
+class GridSample:
+    """The replicas of one grid point.  A replica's id is its position; Z, K
+    and linear are read-only float64 columns, one entry per seed."""
 
-@dataclass(frozen=True)
-class ReplicaResult:
-    replica_id: int
-    seed: int
     d: int
     N: int
     c: float
-    Z: float
-    K: float
-    msd: float
-    linear: float
-    remainder: float
+    a: float | None  # a_N, None at c = 0
+    exact: moments.ExactMoments
+    seeds: tuple[int, ...]
+    Z: np.ndarray
+    K: np.ndarray
+    linear: np.ndarray
+
+    @property
+    def count(self) -> int:
+        return len(self.seeds)
+
+    @property
+    def msd(self) -> np.ndarray:
+        return self.K / self.Z
+
+    @property
+    def remainder(self) -> np.ndarray:
+        return self.Z - 1.0 - self.linear
+
+    def column(self, name: str) -> list:
+        """The CSV column `name`, one Python value per replica."""
+        if name == "replica_id":
+            return list(range(self.count))
+        if name == "seed":
+            return list(self.seeds)
+        value = getattr(self, name)
+        return value.tolist() if isinstance(value, np.ndarray) else [value] * self.count
 
 
 @dataclass
@@ -132,60 +147,44 @@ class SummaryStats:
     metrics: dict = field(default_factory=dict)
 
 
-def simulate_replica(d: int, N: int, c: float, jobs) -> list[ReplicaResult]:
-    """One lockstep task, a row block: jobs is a list of (replica_id, seed);
-    returns one ReplicaResult per job, in order."""
-    envs = [EnvironmentField(seed=seed, d=d, horizon=N) for _, seed in jobs]
-    out = []
-    for (replica_id, seed), layer in zip(jobs, engine.evolve_replicas(envs, c, N)):
-        obs, lin = engine.observables(layer), layer.linear
-        out.append(
-            ReplicaResult(
-                replica_id=replica_id, seed=seed, d=d, N=N, c=c, Z=obs.Z, K=obs.K, msd=obs.msd,
-                linear=lin, remainder=obs.Z - 1.0 - lin,
-            )
-        )
+def simulate_replica(d: int, N: int, c: float, seeds) -> np.ndarray:
+    """One lockstep task, a row block: the (3, len(seeds)) columns Z, K and
+    linear of the replicas with these seeds, in order."""
+    envs = [EnvironmentField(seed=seed, d=d, horizon=N) for seed in seeds]
+    out = np.empty((3, len(envs)))
+    for i, layer in enumerate(engine.evolve_replicas(envs, c, N)):
+        obs = engine.observables(layer)
+        out[:, i] = obs.Z, obs.K, layer.linear
     return out
 
 
-def run_replicas(config: ExperimentConfig) -> list[ReplicaResult]:
-    """All replicas over the full grid, in (grid, replica) order.
+def run_replicas(config: ExperimentConfig) -> list[GridSample]:
+    """One GridSample per grid point, in grid order.
 
-    Results are bit-identical for any worker count: every replica depends
-    only on its derived seed and results are reassembled in submission order.
+    Every exact record is built before the first task.  The columns are
+    bit-identical for any worker count: every replica depends only on its
+    derived seed and the blocks are joined in submission order.
     """
+    d, R, rule = config.d, config.replicas, config.rule()
+    # Each point's GridSample fields but its columns.
+    heads = [
+        (d, N, c, rule.a_of(N, c) if c > 0.0 else None, moments.centered_moments(N, c, d),
+         tuple(derive_replica_seed(config.master_seed, g, r) for r in range(R)))
+        for g, (N, c) in enumerate(rule.grid(config.n_grid))
+    ]
     tasks = []
-    for grid_index, N in enumerate(config.n_grid):
-        c = config.c_of(N)
-        jobs = [
-            (r, derive_replica_seed(config.master_seed, grid_index, r))
-            for r in range(config.replicas)
-        ]
-        size = min(math.ceil(len(jobs) / config.workers), engine.block_rows(config.d, N))
-        tasks += [(config.d, N, c, jobs[i : i + size]) for i in range(0, len(jobs), size)]
+    for _, N, c, _, _, seeds in heads:
+        size = min(math.ceil(R / config.workers), engine.block_rows(d, N))
+        tasks += [(d, N, c, seeds[i : i + size]) for i in range(0, R, size)]
     columns = list(zip(*tasks))
     if config.workers == 1:
-        batches = list(map(simulate_replica, *columns))
+        blocks = list(map(simulate_replica, *columns))
     else:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            batches = list(pool.map(simulate_replica, *columns))
-    return [result for batch in batches for result in batch]
-
-
-def _group(results) -> dict[tuple[int, int, float], list[ReplicaResult]]:
-    groups: dict[tuple[int, int, float], list[ReplicaResult]] = {}
-    for r in results:
-        groups.setdefault((r.d, r.N, r.c), []).append(r)
-    return groups
-
-
-def exact_moments(config: ExperimentConfig) -> dict[int, moments.ExactMoments]:
-    """The exact-moment record per grid point N, from moments.centered_moments.
-
-    The CLI calls this before run_replicas, so moments beyond float64 are
-    refused before any replica is sampled.
-    """
-    return {N: moments.centered_moments(N, config.c_of(N), config.d) for N in config.n_grid}
+            blocks = list(pool.map(simulate_replica, *columns))
+    cols = np.concatenate(blocks, axis=1)  # (3, grid points * R), in (grid, replica) order
+    cols.flags.writeable = False
+    return [GridSample(*head, *cols[:, g * R : (g + 1) * R]) for g, head in enumerate(heads)]
 
 
 def chebyshev_bound(N: int, exact: moments.ExactMoments, eps_prob: float) -> float:
@@ -200,9 +199,9 @@ def chebyshev_bound(N: int, exact: moments.ExactMoments, eps_prob: float) -> flo
     return min(1.0, (exact.var_k / (float(N) * N) + exact.var_z) / (delta * delta))
 
 
-def concentration_report(results, exact: dict, eps_prob: float) -> list[SummaryStats]:
+def concentration_report(points, eps_prob: float) -> list[SummaryStats]:
     """Empirical exceedance of |msd/N - 1| per grid point vs the Chebyshev
-    bound from exact (exact_moments of the run).
+    bound from the point's exact record.
 
     beats_bound flags an empirical exceedance above the exact Chebyshev bound
     by more than 3 binomial standard errors, which would indicate a harness
@@ -210,22 +209,19 @@ def concentration_report(results, exact: dict, eps_prob: float) -> list[SummaryS
     """
     if not 0.0 < eps_prob < 1.0:
         raise ValueError("eps_prob must lie in (0, 1)")
-    results = list(results)
-    if not results:
+    if not points:
         raise ValueError("no replica results to summarize")
     rows = []
-    for (d, N, c), group in sorted(_group(results).items()):
-        ratios = np.array([r.msd / r.N for r in group])
-        zs = np.array([r.Z for r in group])
-        count = len(group)
+    for pt in points:
+        ratios, zs, count = pt.msd / pt.N, pt.Z, pt.count
         p_hat = float(np.mean(np.abs(ratios - 1.0) > eps_prob))
-        bound = chebyshev_bound(N, exact[N], eps_prob)
+        bound = chebyshev_bound(pt.N, pt.exact, eps_prob)
         se = stats.binomial_se(p_hat, count)
         rows.append(
             SummaryStats(
-                d=d,
-                N=N,
-                c=c,
+                d=pt.d,
+                N=pt.N,
+                c=pt.c,
                 count=count,
                 mean_Z=float(np.mean(zs)),
                 var_Z=float(np.var(zs, ddof=1)) if count > 1 else None,
@@ -270,39 +266,31 @@ def _sample_metrics(values: np.ndarray, sigma2_target: float | None) -> dict:
     return out
 
 
-def normality_report(
-    results, exact: dict, rule: fluctuation.ScalingRule
-) -> list[SummaryStats]:
+def normality_report(points) -> list[SummaryStats]:
     """Distribution diagnostics of a_N (Z - 1), its linear part and remainder.
 
-    Targets are a^2 times the exact variances of exact (exact_moments of the
-    run): var Z for the centered partition sum, the linear variance for the
-    linear part and the orthogonality identity for the remainder.  Degenerate
+    Targets are a^2 times the exact variances of the point's exact record:
+    var Z for the centered partition sum, the linear variance for the linear
+    part and the orthogonality identity for the remainder.  Degenerate
     samples (c = 0) are flagged rather than crashed on.
     """
     rows = []
-    for (d, N, c), group in sorted(_group(results).items()):
-        if d != rule.d:
-            raise ValueError("scaling rule dimension does not match results")
-        a = rule.a_of(N, c) if c > 0.0 else None
-        row = SummaryStats(d=d, N=N, c=c, count=len(group))
-        zs = np.array([r.Z for r in group])
-        row.mean_Z = float(np.mean(zs))
-        if c == 0.0:
+    for pt in points:
+        row = SummaryStats(d=pt.d, N=pt.N, c=pt.c, count=pt.count, mean_Z=float(np.mean(pt.Z)))
+        if pt.c == 0.0:
             row.degenerate = True
             rows.append(row)
             continue
-        m = exact[N]
+        a, m = pt.a, pt.exact
         row.a = a
         row.var_Z_exact = m.var_z
-        row.sigma2_limit = fluctuation.limit_variance(d, N)
+        row.sigma2_limit = fluctuation.limit_variance(pt.d, pt.N)
         a2 = a * a
         row.metrics = {
-            "centered": _sample_metrics(a * (zs - 1.0), a2 * m.var_z),
-            "linear": _sample_metrics(a * np.array([r.linear for r in group]), a2 * m.lin_var),
+            "centered": _sample_metrics(a * (pt.Z - 1.0), a2 * m.var_z),
+            "linear": _sample_metrics(a * pt.linear, a2 * m.lin_var),
             "remainder": _sample_metrics(
-                a * np.array([r.remainder for r in group]),
-                a2 * m.rem_var if m.rem_var > 0.0 else None,
+                a * pt.remainder, a2 * m.rem_var if m.rem_var > 0.0 else None
             ),
         }
         row.degenerate = row.metrics["centered"]["degenerate"]
@@ -310,15 +298,14 @@ def normality_report(
     return rows
 
 
-def write_csv(results, fh) -> None:
-    """One row per replica; floats via repr (shortest round trip), so output
-    is byte stable across runs and worker counts."""
+def write_csv(points, fh) -> None:
+    """One row per replica, its GridSample columns in CSV_COLUMNS order;
+    values via repr (floats: shortest round trip), so output is byte stable
+    across runs and worker counts."""
     fh.write(",".join(CSV_COLUMNS) + "\n")
-    for r in results:
-        fh.write(
-            f"{r.replica_id},{r.seed},{r.d},{r.N},{r.c!r},{r.Z!r},{r.K!r},"
-            f"{r.msd!r},{r.linear!r},{r.remainder!r}\n"
-        )
+    for pt in points:
+        for row in zip(*(pt.column(name) for name in CSV_COLUMNS)):
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 def check_failures(conc_rows, norm_rows) -> list[str]:

@@ -44,29 +44,37 @@ def _declared_entry_point(name: str) -> tuple[str, str]:
 
 
 @pytest.fixture(scope="session")
-def polymer_lab_cli():
-    """Run the declared `polymer-lab` console script in a fresh interpreter.
+def package_env() -> dict:
+    """The environment for a fresh interpreter that imports this `polymer_lab`.
 
-    Calls the [project.scripts] target the way the installed wrapper does,
-    so the tests need no install: the directory holding the imported
-    `polymer_lab` package goes first on PYTHONPATH, which is the source
-    tree in a checkout and site-packages in an install.  `extra_env` sets
-    further environment variables for one run.
+    The directory holding the imported package goes first on PYTHONPATH,
+    which is the source tree in a checkout and site-packages in an install.
     """
-    module, function = _declared_entry_point(SCRIPT_NAME)
-    code = f"import sys; from {module} import {function}; sys.exit({function}())"
     package_root = str(Path(polymer_lab.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (package_root, env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+@pytest.fixture(scope="session")
+def polymer_lab_cli(package_env):
+    """Run the declared `polymer-lab` console script in a fresh interpreter.
+
+    Calls the [project.scripts] target the way the installed wrapper does,
+    with package_env, so the tests need no install.  `extra_env` sets
+    further environment variables for one run.
+    """
+    module, function = _declared_entry_point(SCRIPT_NAME)
+    code = f"import sys; from {module} import {function}; sys.exit({function}())"
 
     def run(*args: str, extra_env: dict | None = None) -> subprocess.CompletedProcess:
         return subprocess.run(
             [sys.executable, "-c", code, *args],
             capture_output=True,
             text=True,
-            env={**env, **(extra_env or {})},
+            env={**package_env, **(extra_env or {})},
         )
 
     return run

@@ -43,9 +43,7 @@ def conc_d1():
         d=1, eps=0.05, n_grid=(256, 1024, 4096), replicas=400, master_seed=20260814,
         workers=WORKERS,
     )
-    return harness.concentration_report(
-        harness.run_replicas(config), harness.exact_moments(config), 0.1
-    )
+    return harness.concentration_report(harness.run_replicas(config), 0.1)
 
 
 @pytest.fixture(scope="module")
@@ -54,9 +52,7 @@ def conc_d2():
         d=2, eps=0.25, n_grid=(64, 128, 256), replicas=400, master_seed=20260814,
         workers=WORKERS,
     )
-    return harness.concentration_report(
-        harness.run_replicas(config), harness.exact_moments(config), 0.1
-    )
+    return harness.concentration_report(harness.run_replicas(config), 0.1)
 
 
 @pytest.fixture(scope="module")
@@ -64,8 +60,7 @@ def norm_d2():
     config = harness.ExperimentConfig(
         d=2, eps=0.25, n_grid=(64, 128, 256), replicas=2000, master_seed=97, workers=WORKERS
     )
-    results = harness.run_replicas(config)
-    return harness.normality_report(results, harness.exact_moments(config), config.rule())
+    return harness.normality_report(harness.run_replicas(config))
 
 
 # --- 1: kernel identities ---

@@ -1,6 +1,8 @@
 import json
 import math
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -267,9 +269,9 @@ def test_one_exact_moment_pass_per_grid_point(command, expected, capsys, monkeyp
         monkeypatch.setattr(moments, name, counted)
     sample = harness.simulate_replica
 
-    def recorded(d, N, c, jobs):
+    def recorded(d, N, c, seeds):
         calls.append(("replica", N))
-        return sample(d, N, c, jobs)
+        return sample(d, N, c, seeds)
 
     monkeypatch.setattr(harness, "simulate_replica", recorded)
     sampling = _SAMPLING_ARGS if command in ("simulate", "concentration") else []
@@ -305,9 +307,7 @@ def test_cli_paths_do_not_need_the_pairwalk_dp(capsys, monkeypatch):
     moments.centered_moments(16, 0.3, 1)
     fluctuation.remainder_variance_exact(64, 0.3, 2)
     config = harness.ExperimentConfig(d=2, eps=0.25, n_grid=(8, 16), replicas=3, master_seed=1)
-    rows = harness.normality_report(
-        harness.run_replicas(config), harness.exact_moments(config), config.rule()
-    )
+    rows = harness.normality_report(harness.run_replicas(config))
     assert all(r.var_Z_exact > 0.0 for r in rows)
     code, _, err = run_cli(["oracle", "--dim", "2", "--N", "64", "--N", "256", "--eps", "0.25"], capsys)
     assert code == 0, err
@@ -388,6 +388,60 @@ def test_exact_paths_refuse_n_below_1_naming_the_flag(command, disorder, n, caps
     assert code == 2
     assert out == ""
     assert f"--N must be >= 1, got {n}" in err
+
+
+def _no_exact_moments(monkeypatch) -> None:
+    """Make every exact-moment pass and every replica fail if it runs."""
+
+    def no_moments(*args):
+        raise AssertionError("an exact-moment pass ran before the grid was refused")
+
+    monkeypatch.setattr(moments, "_renewal", no_moments)
+    monkeypatch.setattr(moments, "collision_expansions", no_moments)
+    monkeypatch.setattr(harness, "simulate_replica", no_sampling)
+
+
+@pytest.mark.parametrize(
+    "argv,needle",
+    [
+        (["clt", "--dim", "1", "--N", "20000", "--N", "0", "--eps", "0.05"],
+         "--N must be >= 1, got 0"),
+        (["oracle", "--dim", "1", "--N", "4096", "--N", "0", "--eps", "0.05"],
+         "--N must be >= 1, got 0"),
+        (["oracle", "--dim", "1", "--N", "64", "--N", "64", "--eps", "0.1"], "--N 64 is given twice"),
+        (["clt", "--dim", "2", "--N", "64", "--N", "8", "--N", "64", "--eps", "0.1"],
+         "--N 64 is given twice"),
+    ],
+)
+def test_exact_paths_refuse_a_bad_grid_before_any_row(argv, needle, capsys, monkeypatch):
+    _no_exact_moments(monkeypatch)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert needle in err
+
+
+@pytest.mark.parametrize("dim,n,smallest", [("1", "1", 2), ("2", "1", 3), ("2", "2", 3)])
+@pytest.mark.parametrize("command", ["oracle", "clt", "simulate", "concentration"])
+def test_c_n_of_one_or_more_is_refused_naming_the_smallest_n(
+    command, dim, n, smallest, capsys, monkeypatch
+):
+    # Under --eps, c_N >= 1 below N = 2 in d = 1 and below N = 3 in d = 2.
+    _no_exact_moments(monkeypatch)
+    eps = "0.05" if dim == "1" else "0.25"
+    code, out, err = run_cli([command, "--dim", dim, "--N", n, "--N", "64", "--eps", eps], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"c_N >= 1 at --N {n}" in err and f"choose --N >= {smallest}" in err
+
+
+def test_module_entry_runs_the_cli(package_env):
+    proc = subprocess.run(
+        [sys.executable, "-m", "polymer_lab.cli", "oracle", "--dim", "1", "--N", "2", "--c", "0.1"],
+        capture_output=True, text=True, env=package_env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert [row["N"] for row in json.loads(proc.stdout)["rows"]] == [2]
 
 
 def test_clt_refuses_zero_c_naming_the_flag(capsys):

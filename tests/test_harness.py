@@ -51,22 +51,30 @@ def test_fused_replica_matches_composition():
     c = 0.27
     for d, n in ((1, 19), (2, 11)):
         kern = walk.build_kernel(d, n)
-        jobs = [(rep, environment.derive_replica_seed(5, d, rep)) for rep in range(3)]
-        rows = harness.simulate_replica(d, n, c, jobs)
-        assert [(r.replica_id, r.seed) for r in rows] == jobs
-        for (_, seed), r in zip(jobs, rows):
-            assert (r.d, r.N, r.c) == (d, n, c)
+        seeds = [environment.derive_replica_seed(5, d, rep) for rep in range(3)]
+        block = harness.simulate_replica(d, n, c, seeds)
+        assert block.shape == (3, 3)
+        for seed, (z, k, linear) in zip(seeds, block.T):
             env = environment.EnvironmentField(seed=seed, d=d, horizon=n)
             obs = engine.observables(engine.evolve_density(env, c, n))
-            assert (r.Z, r.K, r.msd) == (obs.Z, obs.K, obs.msd)
-            assert r.linear == float(np.sum(fluctuation.linear_components(env, c, n, kern)))
+            assert (z, k, k / z) == (obs.Z, obs.K, obs.msd)
+            assert linear == float(np.sum(fluctuation.linear_components(env, c, n, kern)))
+
+
+def _same_points(one, other) -> bool:
+    """Every field of two GridSample lists equal, the columns bit for bit."""
+    return len(one) == len(other) and all(
+        (p.d, p.N, p.c, p.a, p.exact, p.seeds) == (q.d, q.N, q.c, q.a, q.exact, q.seeds)
+        and all(np.array_equal(getattr(p, col), getattr(q, col)) for col in ("Z", "K", "linear"))
+        for p, q in zip(one, other)
+    )
 
 
 def test_run_replicas_deterministic_across_workers():
     base = dict(d=1, eps=0.25, n_grid=(8, 16), replicas=10, master_seed=42)
     r1 = harness.run_replicas(harness.ExperimentConfig(**base, workers=1))
     r3 = harness.run_replicas(harness.ExperimentConfig(**base, workers=3))
-    assert r1 == r3
+    assert _same_points(r1, r3)
     buf1, buf3 = io.StringIO(), io.StringIO()
     harness.write_csv(r1, buf1)
     harness.write_csv(r3, buf3)
@@ -99,9 +107,9 @@ def _record_task_sizes(monkeypatch) -> list[int]:
     sizes = []
     inner = harness.simulate_replica
 
-    def recording(d, N, c, jobs):
-        sizes.append(len(jobs))
-        return inner(d, N, c, jobs)
+    def recording(d, N, c, seeds):
+        sizes.append(len(seeds))
+        return inner(d, N, c, seeds)
 
     monkeypatch.setattr(harness, "simulate_replica", recording)
     return sizes
@@ -113,7 +121,7 @@ def test_run_tasks_hold_at_most_a_row_block(monkeypatch):
     for d, N in ((1, 64), (2, 16)):
         for replicas in (150, 600):
             sizes.clear()
-            assert len(harness.run_replicas(_one_point(d, N, replicas))) == replicas
+            assert harness.run_replicas(_one_point(d, N, replicas))[0].count == replicas
             assert sum(sizes) == replicas
             assert max(sizes) <= engine.block_rows(d, N)
 
@@ -126,7 +134,7 @@ def _run_working_memory(d, N, replicas) -> int:
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(results) == replicas
+    assert results[0].count == replicas
     return peak - held
 
 
@@ -152,48 +160,50 @@ def test_tasks_across_the_row_block_cap_keep_bytes(monkeypatch):
     buf = io.StringIO()
     harness.write_csv(one, buf)
     assert _csv_bytes(_one_point(d, N, 5, workers=3)) == buf.getvalue()
-    for r in one:
-        env = environment.EnvironmentField(seed=r.seed, d=d, horizon=N)
-        layer = engine.evolve_density(env, r.c, N)
+    pt = one[0]
+    for seed, z, k, linear in zip(pt.seeds, pt.Z, pt.K, pt.linear):
+        env = environment.EnvironmentField(seed=seed, d=d, horizon=N)
+        layer = engine.evolve_density(env, pt.c, N)
         obs = engine.observables(layer)
-        assert (r.Z, r.K, r.linear) == (obs.Z, obs.K, layer.linear)
+        assert (z, k, linear) == (obs.Z, obs.K, layer.linear)
 
 
 def test_run_replicas_layout_and_seeds():
     config = harness.ExperimentConfig(d=1, eps=0.25, n_grid=(4, 8), replicas=6, master_seed=9)
-    rs = harness.run_replicas(config)
-    assert len(rs) == 12
-    assert [r.N for r in rs] == [4] * 6 + [8] * 6
-    assert [r.replica_id for r in rs] == list(range(6)) * 2
-    assert len({r.seed for r in rs}) == 12
+    pts = harness.run_replicas(config)
+    assert len(pts) == 2
+    assert [pt.N for pt in pts] == [4, 8]
+    assert [pt.count for pt in pts] == [6, 6]
+    assert [pt.column("replica_id") for pt in pts] == [list(range(6))] * 2
+    assert len({seed for pt in pts for seed in pt.seeds}) == 12
     for grid_index, n in enumerate(config.n_grid):
         for rep in range(6):
             want = environment.derive_replica_seed(9, grid_index, rep)
-            assert rs[grid_index * 6 + rep].seed == want
-    for r in rs:
-        assert r.remainder == r.Z - 1.0 - r.linear
+            assert pts[grid_index].seeds[rep] == want
+    for pt in pts:
+        for z, linear, remainder in zip(pt.Z, pt.linear, pt.remainder):
+            assert remainder == z - 1.0 - linear
 
 
 def test_zero_disorder_replicas():
     config = harness.ExperimentConfig(
         d=2, eps=0.25, n_grid=(6,), replicas=5, master_seed=1, c_override=0.0
     )
-    rs = harness.run_replicas(config)
-    for r in rs:
-        assert r.Z == pytest.approx(1.0, abs=1e-14)
-        assert r.msd == pytest.approx(6.0, rel=1e-14)
-        assert r.linear == 0.0
-    exact = harness.exact_moments(config)
-    conc = harness.concentration_report(rs, exact, 0.05)
+    pts = harness.run_replicas(config)
+    assert pts[0].a is None
+    for z, msd, linear in zip(pts[0].Z, pts[0].msd, pts[0].linear):
+        assert z == pytest.approx(1.0, abs=1e-14)
+        assert msd == pytest.approx(6.0, rel=1e-14)
+        assert linear == 0.0
+    conc = harness.concentration_report(pts, 0.05)
     assert conc[0].exceedance == 0.0
-    norm = harness.normality_report(rs, exact, config.rule())
+    norm = harness.normality_report(pts)
     assert norm[0].degenerate
 
 
 def test_single_replica_exceedance_is_zero_or_one():
     config = harness.ExperimentConfig(d=1, eps=0.25, n_grid=(8,), replicas=1, master_seed=3)
-    rs = harness.run_replicas(config)
-    conc = harness.concentration_report(rs, harness.exact_moments(config), 0.1)
+    conc = harness.concentration_report(harness.run_replicas(config), 0.1)
     assert conc[0].exceedance in (0.0, 1.0)
 
 
@@ -205,15 +215,14 @@ def test_chebyshev_bound_cap_and_formula():
     assert b == pytest.approx((m.var_k / 256.0 + m.var_z) / delta ** 2, rel=1e-12)
     assert b < 1.0
     with pytest.raises(ValueError):
-        harness.concentration_report([], {}, 0.0)
+        harness.concentration_report([], 0.0)
     with pytest.raises(ValueError):
-        harness.concentration_report([], {}, 0.5)  # empty input
+        harness.concentration_report([], 0.5)  # empty input
 
 
 def test_concentration_groups_and_se():
     config = harness.ExperimentConfig(d=1, eps=0.25, n_grid=(8, 16), replicas=25, master_seed=2)
-    rs = harness.run_replicas(config)
-    rows = harness.concentration_report(rs, harness.exact_moments(config), 0.2)
+    rows = harness.concentration_report(harness.run_replicas(config), 0.2)
     assert [row.N for row in rows] == [8, 16]
     for row in rows:
         assert row.count == 25
@@ -225,9 +234,8 @@ def test_concentration_groups_and_se():
 
 def test_normality_report_targets():
     config = harness.ExperimentConfig(d=1, eps=0.25, n_grid=(16,), replicas=200, master_seed=8)
-    rs = harness.run_replicas(config)
-    row = harness.normality_report(rs, harness.exact_moments(config), config.rule())[0]
-    c = config.c_of(16)
+    row = harness.normality_report(harness.run_replicas(config))[0]
+    c = config.rule().c_of(16)
     a = config.rule().a_of(16, c)
     assert row.a == pytest.approx(a, rel=1e-14)
     m = row.metrics
@@ -245,26 +253,22 @@ def test_normality_report_targets():
     assert m["linear"]["mean_sq_se"] > 0.0
 
 
-def test_normality_rule_mismatch():
-    config = harness.ExperimentConfig(d=1, eps=0.25, n_grid=(8,), replicas=3, master_seed=1)
-    rs = harness.run_replicas(config)
-    with pytest.raises(ValueError):
-        harness.normality_report(rs, harness.exact_moments(config), fluctuation.scaling(2, 0.25))
-
-
 def test_write_csv_round_trip():
     config = harness.ExperimentConfig(d=2, eps=0.25, n_grid=(5,), replicas=3, master_seed=4)
-    rs = harness.run_replicas(config)
+    (pt,) = harness.run_replicas(config)
     buf = io.StringIO()
-    harness.write_csv(rs, buf)
+    harness.write_csv([pt], buf)
     lines = buf.getvalue().strip().split("\n")
     assert lines[0] == ",".join(harness.CSV_COLUMNS)
     assert len(lines) == 4
-    fields = lines[1].split(",")
-    assert int(fields[0]) == rs[0].replica_id
-    assert int(fields[1]) == rs[0].seed
-    assert float(fields[5]) == rs[0].Z  # repr round-trips exactly
-    assert float(fields[9]) == rs[0].remainder
+    for rep, line in enumerate(lines[1:]):
+        row = dict(zip(harness.CSV_COLUMNS, line.split(",")))
+        assert int(row["replica_id"]) == rep
+        assert int(row["seed"]) == pt.seeds[rep]
+        assert (int(row["d"]), int(row["N"]), float(row["c"])) == (2, 5, pt.c)
+        # repr round-trips exactly
+        for name in ("Z", "K", "msd", "linear", "remainder"):
+            assert float(row[name]) == getattr(pt, name)[rep]
 
 
 def _mk_conc(N, exceedance, bound, count=100):
