@@ -11,17 +11,38 @@ positive, so no log-domain bookkeeping is needed, only an overflow guard.
 
 evolve_replicas is the only implementation of the recursion.  It advances
 exactly the environments it is given in lockstep, as one stack of layers
-next to one rolling free-walk layer p0(n, .).  Per step, the stack's slices
-of signs are hashed in one pass (SignHasher), and the stencil step and the
-weight multiply each run once over the whole stack; both are elementwise,
-so every row gets the bits a single layer would.  The signs serve both the
-weight multiply and the order-one chaos term f_n = c sum_x h(n, x) p0(n, x)
-of Z - 1.  The layer sums (overflow guard) and the sums of h * p0 are one
-row reduction each over the stack: numpy's pairwise sum of every contiguous
-row, the order walk.lattice_sum gives a lone row.  block_rows(d, N) is how
-many rows a caller should stack so that the per-step arrays stay within
-_BLOCK_BYTES; harness.run_replicas cuts its tasks by it.  evolve_density is
-the pass over one environment.
+next to one rolling free-walk layer p0(n, .), and does only the work that
+can change a bit of its results:
+
+- Window (d = 1).  Far from the origin p0 and every layer underflow to
+  exactly 0.0, and a step or a weight keeps such a site at 0.0.  So the
+  stack and p0 are window-local arrays over the packed indices
+  [lo, lo + w): a step grows the window by one at the top (step_layer reads
+  a missing neighbour as 0.0, the bits the full slice gives), and after it
+  the edge columns that are 0.0 in every row and in p0 are dropped.  Only
+  the window is hashed, stepped and weighted.  In d = 2 the window is the
+  whole slice: a square window trims nothing below N of about 2000.
+- Sign bits.  SignHasher.sign_bits gives h as bit 63 of a uint64 (set for
+  -1).  c * h is c with that bit set, so a weight 1 + c h is one bitwise or
+  and one add, and h * p0 is p0 with that bit flipped.
+- Guard.  A step keeps a row's sum and a weight is at most 1 + c, so a row
+  sum at step n is at most (1 + c)^n, up to rounding.  The overflow guard
+  sums only from the step where that bound comes within a factor e of
+  DENSITY_SUM_LIMIT, read at call time; at c = 0 never.
+
+Every sum runs over full-length rows, with 0.0 outside the window: the
+layer sums of the guard and the sums of h * p0 for the order-one chaos term
+f_n = c sum_x h(n, x) p0(n, x) of Z - 1 are one row reduction each over the
+stack, numpy's pairwise sum of every contiguous row, the order
+walk.lattice_sum gives a lone row and whose order is fixed by the row
+length.  The final layers go back into zeroed full-length rows.  So every
+result is bit for bit what the whole-slice recursion gives.  A task holds
+four stack-sized arrays: two layer stacks, the hasher's uint64 buffer and
+one scratch that takes the finalizer's temporaries, then the weights, then
+the products h * p0.  block_rows(d, N) is how many rows a caller should
+stack so that the per-step arrays stay within _BLOCK_BYTES;
+harness.run_replicas cuts its tasks by it.  evolve_density is the pass over
+one environment.
 
 No sum here goes through BLAS (walk.lattice_sum says why): K in observables
 is walk.lattice_sum, and brute_force_observables sums its paths pairwise too.
@@ -32,12 +53,13 @@ independent check for the recursion on small N.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import walk
-from .environment import EnvironmentField, SignHasher
+from .environment import SIGN_BIT, EnvironmentField, SignHasher
 
 # Abort threshold for the running layer sum (overflow guard).
 DENSITY_SUM_LIMIT = 1e300
@@ -85,15 +107,42 @@ def block_rows(d: int, N: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * walk.slice_size(d, N)))
 
 
+def _full_rows(win: np.ndarray, lo: int, n: int, buf: np.ndarray) -> np.ndarray:
+    """A stack of window-local slices at time n, whose last axis starts at
+    packed index lo, as full-length slices with 0.0 outside the window: win
+    itself where the window is the whole slice, else rows written into buf.
+    Only d = 1 windows are ever narrower than the slice."""
+    count, width = win.shape[0], win.shape[-1]
+    if width == n + 1:
+        return win
+    full = buf[: count * (n + 1)].reshape(count, n + 1)
+    full[:, :lo] = 0.0
+    full[:, lo : lo + width] = win
+    full[:, lo + width :] = 0.0
+    return full
+
+
+def _trim(lo: int, p0: np.ndarray, lays: np.ndarray):
+    """Drop the d = 1 window's edge columns that are 0.0 in p0 and in every
+    row; returns the new (lo, p0, lays), views of the old arrays.  p0 holds
+    mass 1, so some column always stays."""
+    a, b = 0, p0.shape[0]
+    while p0[a] == 0.0 and not lays[:, a].any():
+        a += 1
+    while p0[b - 1] == 0.0 and not lays[:, b - 1].any():
+        b -= 1
+    return lo + a, p0[a:b], lays[:, a:b]
+
+
 def evolve_replicas(envs, c: float, N: int) -> list[DensityLayer]:
     """Run the density recursion to time N under each environment, in lockstep.
 
     Returns one final layer per environment, in order; their values are the
     rows of one stacked array.  The working arrays are flat buffers sized
     for time N, allocated once; step n reads a contiguous prefix of each as
-    a stack of packed slices.
+    a stack of window-local slices.
     EnvironmentFields are hashed by one SignHasher; any other environment
-    fills its row from its own slice_signs.
+    takes its sign bits from its own slice_signs.
     """
     if not envs:
         raise ValueError("need at least one environment")
@@ -103,40 +152,62 @@ def evolve_replicas(envs, c: float, N: int) -> list[DensityLayer]:
             raise ValueError("environments differ in dimension")
         _check_run_args(env, c, N)
     count = len(envs)
+    size = walk.slice_size(d, N)
     if all(isinstance(env, EnvironmentField) for env in envs):
         hasher = SignHasher([env.seed for env in envs], d, N)
     else:
         hasher = None
-    size = walk.slice_size(d, N)
+        bit_buf = np.empty(count * size, dtype=np.uint64)
     free_bufs = (np.empty(size), np.empty(size))
     layer_bufs = (np.empty(count * size), np.empty(count * size))
-    sign_buf = np.empty(count * size)
-    weight_buf = np.empty(count * size)
+    # The finalizer's scratch, then the weights, then the products h * p0.
+    scratch = np.empty(count * size)
+    c_bits = np.float64(c).view(np.uint64)
+    # A row sum at step n is at most (1 + c)^n, up to rounding; the guard
+    # sums only from the step where that comes within a factor e of the limit.
+    headroom = math.log(DENSITY_SUM_LIMIT) - 1.0
+    rate = math.log1p(c)
+    lo = 0  # packed index of the window's first site
     p0 = np.ones(walk.slice_shape(d, 0))
     lays = np.ones((count,) + p0.shape)
     comps = np.empty((count, N))
     for n in range(1, N + 1):
-        m = walk.slice_size(d, n)
-        shape = (count,) + walk.slice_shape(d, n)
-        p0 = walk.step_layer(p0, d, out=free_bufs[n % 2][:m].reshape(shape[1:]))
-        lays = walk.step_layer(lays, d, out=layer_bufs[n % 2][: count * m].reshape(shape))
-        signs = sign_buf[: count * m].reshape(shape)
+        width = p0.shape[-1] + 1
+        shape = (count,) + (width,) * d
+        sites = width**d
+        p0 = walk.step_layer(p0, d, out=free_bufs[n % 2][:sites].reshape(shape[1:]))
+        lays = walk.step_layer(lays, d, out=layer_bufs[n % 2][: count * sites].reshape(shape))
+        weights = scratch[: count * sites].reshape(shape)
         if hasher is not None:
-            hasher(n, out=signs)
+            bits = hasher.sign_bits(n, lo, width, tmp=weights.view(np.uint64))
         else:
+            bits = bit_buf[: count * sites].reshape(shape)
             for i, env in enumerate(envs):
-                signs[i] = env.slice_signs(n)
-        weights = np.multiply(signs, c, out=weight_buf[: count * m].reshape(shape))
+                signs = env.slice_signs(n)[..., lo : lo + width]
+                np.bitwise_and(signs.view(np.uint64), np.uint64(SIGN_BIT), out=bits[i])
+        # c * h is c with the sign bit of h.
+        np.bitwise_or(bits, c_bits, out=weights.view(np.uint64))
         weights += 1.0
         lays *= weights
-        # Row reductions over the flat (count, m) view: numpy's pairwise sum
-        # of each contiguous row, the bits walk.lattice_sum gives a lone row.
-        sums = lays.reshape(count, m).sum(axis=1)
-        if not np.all(sums <= DENSITY_SUM_LIMIT):
-            raise OverflowError(f"density sum {sums.max()} exceeded {DENSITY_SUM_LIMIT} at step {n}")
-        # The weights are spent, so their buffer takes the products h * p0.
-        prods = np.multiply(signs, p0, out=weights)
+        m = walk.slice_size(d, n)
+        if n * rate > headroom and c > 0.0:
+            # Row reductions over flat (count, m) views: numpy's pairwise sum
+            # of each full-length row, the bits walk.lattice_sum gives a lone row.
+            sums = _full_rows(lays, lo, n, scratch).reshape(count, m).sum(axis=1)
+            if not np.all(sums <= DENSITY_SUM_LIMIT):
+                raise OverflowError(
+                    f"density sum {sums.max()} exceeded {DENSITY_SUM_LIMIT} at step {n}"
+                )
+        # h * p0 is p0 with the sign bit of h flipped, in full-length rows
+        # with 0.0 outside the window.
+        prods = scratch[: count * m].reshape((count,) + walk.slice_shape(d, n))
+        prods[..., :lo] = 0.0
+        prods[..., lo + width :] = 0.0
+        np.bitwise_xor(p0.view(np.uint64), bits, out=prods[..., lo : lo + width].view(np.uint64))
         comps[:, n - 1] = c * prods.reshape(count, m).sum(axis=1)
+        if d == 1:
+            lo, p0, lays = _trim(lo, p0, lays)
+    lays = _full_rows(lays, lo, N, layer_bufs[(N + 1) % 2])
     lays.flags.writeable = False
     return [
         DensityLayer(d=d, n=N, values=lay, linear=float(np.sum(comp)))

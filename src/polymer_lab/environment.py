@@ -11,7 +11,10 @@ counter-based generators of Salmon et al., "Parallel random numbers: as
 easy as 1, 2, 3", SC'11).
 SignHasher does that for the sampler's row blocks at one finalize per site;
 in d = 2 the first site word takes only 2n + 1 values per slice, so it is
-finalized once per field and broadcast through a Hankel view.
+finalized once per field and broadcast through a Hankel view.  Its
+sign_bits keeps the sign as the bit it is (bit 63 of a uint64, set for
+-1), and in d = 1 hashes any window of consecutive sites; its call turns
+the bits into +/-1.0.
 EnvironmentField.slice_signs is a one-field SignHasher call, and
 EnvironmentField.value the independent scalar route.
 
@@ -36,6 +39,8 @@ _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
 # Bit pattern of the float64 1.0.
 _ONE_BITS = 0x3FF0000000000000
+# The sign bit of a float64; SignHasher.sign_bits sets it where h = -1.
+SIGN_BIT = 1 << 63
 # Domain separation word for replica seed derivation.
 _REPLICA_DOMAIN = 0x7265706C69636173
 
@@ -114,10 +119,12 @@ class SignHasher:
     Built for the seeds of R fields in dimension d for the times first to
     horizon (first defaults to 1); a call with time n returns the packed
     slices of all R fields stacked on a leading axis, shape (R, n+1) or
-    (R, n+1, n+1), bit for bit the signs of EnvironmentField.value.  The
+    (R, n+1, n+1), bit for bit the signs of EnvironmentField.value.
+    sign_bits returns the same signs as bit 63 of a uint64, the form the
+    sampler uses, and in d = 1 over a window of the slice only.  The
     per-time states and the uint64 hash-word buffer, sized for the slices at
     the horizon, are made once, so a pass over many times allocates nothing
-    per slice beyond its output when out is not given.
+    per slice beyond its output when out (or tmp) is not given.
 
     Each site costs one add and one finalize:
 
@@ -147,32 +154,57 @@ class SignHasher:
         self._words = np.arange(-horizon, horizon + 1, dtype=np.int64).view(np.uint64)
         self._z = np.empty(len(seed_states) * slice_size(d, horizon), dtype=np.uint64)
 
-    def __call__(self, n: int, out: np.ndarray | None = None) -> np.ndarray:
-        """Stacked +/-1.0 slices at time n, written into out if given.
-
-        out is the finalizer's scratch space until it receives the signs.
-        """
+    def _check_time(self, n: int) -> None:
         if not self.first <= n <= self.horizon:
             raise ValueError(f"time {n} outside the hashed times [{self.first}, {self.horizon}]")
+
+    def sign_bits(
+        self, n: int, lo: int = 0, width: int | None = None, tmp: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Stacked sign bits at time n: bit 63 set where the sign is -1, every
+        other bit clear.
+
+        In d = 1 only the packed indices lo, ..., lo + width - 1 are hashed
+        (all n + 1 by default), shape (R, width); d = 2 hashes the whole
+        slice, shape (R, n+1, n+1).  The result is a view of the hasher's
+        uint64 buffer, valid until the next call.  tmp, if given, is the
+        finalizer's scratch space, a uint64 array of the result's shape.
+        """
+        self._check_time(n)
+        if width is None:
+            width = n + 1 - lo
+        if not (0 <= lo and 1 <= width and lo + width <= n + 1):
+            raise ValueError(f"window [{lo}, {lo + width}) outside the slice at time {n}")
+        if self.d == 2 and width != n + 1:
+            raise ValueError("d = 2 hashes whole slices only")
         states = self._states[n - self.first, :, None]
-        shape = states.shape[:1] + slice_shape(self.d, n)
-        z = self._z[: states.shape[0] * slice_size(self.d, n)].reshape(shape)
-        words = self._words[self.horizon - n : self.horizon + n + 1]  # k - n, k = 0..2n
-        if out is None:
-            out = np.empty(shape)
+        shape = states.shape[:1] + (width,) * self.d
+        z = self._z[: states.shape[0] * width**self.d].reshape(shape)
+        # Entry k is the word k - n, k = 0..2n; index j of the slice has word 2j - n.
+        words = self._words[self.horizon - n : self.horizon + n + 1]
         if self.d == 1:
-            np.add(states, words[::2], out=z)
+            np.add(states, words[2 * lo : 2 * (lo + width) - 1 : 2], out=z)
         else:
             first = _finalize_vec(states + words)
             second = words + np.uint64(_GOLDEN)
             hankel = sliding_window_view(first, n + 1, axis=1)
             toeplitz = sliding_window_view(second[::-1], n + 1)[::-1]
             np.add(hankel, toeplitz, out=z)
+        _finalize_sign_bit(z, np.empty_like(z) if tmp is None else tmp)
+        z &= np.uint64(SIGN_BIT)
+        return z
+
+    def __call__(self, n: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Stacked +/-1.0 slices at time n, written into out if given.
+
+        out is the finalizer's scratch space until it receives the signs.
+        """
+        self._check_time(n)
+        if out is None:
+            out = np.empty(self._states.shape[1:] + slice_shape(self.d, n))
         bits = out.view(np.uint64)
-        _finalize_sign_bit(z, bits)
-        # Bit 63 of z becomes the sign bit of 1.0: set means -1.0.
-        np.bitwise_and(z, np.uint64(1 << 63), out=bits)
-        bits |= np.uint64(_ONE_BITS)
+        # A set sign bit on the bits of 1.0 makes -1.0.
+        np.bitwise_or(self.sign_bits(n, tmp=bits), np.uint64(_ONE_BITS), out=bits)
         return out
 
 
@@ -213,6 +245,29 @@ class EnvironmentTable:
     d: int
     horizon: int
     slices: tuple = field(repr=False)
+
+    def __post_init__(self) -> None:
+        """One float64 slice of shape slice_shape(d, n) per time n = 1..horizon,
+        every entry exactly +1.0 or -1.0: the sampler reads a sign from its
+        sign bit alone."""
+        check_dim(self.d)
+        if len(self.slices) != self.horizon:
+            raise ValueError(
+                f"{len(self.slices)} slices for horizon {self.horizon}; "
+                f"need one for each time n = 1..{self.horizon}"
+            )
+        for n, lay in enumerate(self.slices, start=1):
+            if np.shape(lay) != slice_shape(self.d, n):
+                raise ValueError(
+                    f"slice at time {n} has shape {np.shape(lay)}, "
+                    f"want {slice_shape(self.d, n)}"
+                )
+            if not (
+                isinstance(lay, np.ndarray)
+                and lay.dtype == np.float64
+                and np.all(np.abs(lay) == 1.0)
+            ):
+                raise ValueError(f"slice at time {n} holds a value other than float64 +1.0 or -1.0")
 
     def value(self, n: int, x) -> int:
         return int(self.slices[n - 1][_site_index(self.d, self.horizon, n, x)])

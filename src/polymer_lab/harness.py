@@ -177,10 +177,12 @@ def run_replicas(config: ExperimentConfig) -> list[GridSample]:
         size = min(math.ceil(R / config.workers), engine.block_rows(d, N))
         tasks += [(d, N, c, seeds[i : i + size]) for i in range(0, R, size)]
     columns = list(zip(*tasks))
-    if config.workers == 1:
+    # The pool forks all its workers at once, so it gets no more than tasks.
+    workers = min(config.workers, len(tasks))
+    if workers == 1:
         blocks = list(map(simulate_replica, *columns))
     else:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(simulate_replica, *columns))
     cols = np.concatenate(blocks, axis=1)  # (3, grid points * R), in (grid, replica) order
     cols.flags.writeable = False
@@ -312,8 +314,10 @@ def check_failures(conc_rows, norm_rows) -> list[str]:
     """Acceptance-style checks for --check runs; empty list means pass.
 
     Fails when any exceedance beats its Chebyshev bound, the exceedance trend
-    along the grid is not nonincreasing (one inversion allowed), or the mean
-    of Z drifts from 1 by more than 5 standard errors.
+    along the grid is not nonincreasing (one inversion allowed), the mean
+    of Z drifts from 1 by more than 5 standard errors, or the mean of the
+    remainder drifts from its exact mean 0 by more than 5 standard errors
+    (from its exact variance; skipped where that is 0).
     """
     problems = []
     for row in conc_rows:
@@ -333,4 +337,13 @@ def check_failures(conc_rows, norm_rows) -> list[str]:
             problems.append(
                 f"N={row.N}: mean Z = {row.mean_Z:.6f} is more than 5 SE from 1"
             )
+        # The normalized remainder a_N R_N has variance sigma2_target.
+        rem = row.metrics.get("remainder")
+        if rem is not None and rem["sigma2_target"] is not None:
+            se = math.sqrt(rem["sigma2_target"] / row.count)
+            if abs(rem["mean"]) > 5.0 * se:
+                problems.append(
+                    f"N={row.N}: mean remainder = {rem['mean']:.6g} (scaled by a_N) "
+                    f"is more than 5 SE from 0"
+                )
     return problems

@@ -118,22 +118,28 @@ def _reference_signs(env, n):
 
 
 def _reference_replicas(envs, c, N):
-    """The recursion one replica and step at a time: one slice hash, one
-    step, one weight multiply, one sum, and the linear term as the pairwise
-    sum of p0 * h.  Returns (values, linear) per environment."""
+    """The recursion one replica and step at a time over whole slices: one
+    slice hash, one step, one weight multiply, one sum checked against the
+    limit at every step, and the linear term as the pairwise sum of p0 * h.
+    Returns (values, linear) per environment."""
     d = envs[0].d
     p0 = np.ones((1,) * d)
     lays = [p0] * len(envs)
     comps = [np.empty(N) for _ in envs]
     for n in range(1, N + 1):
         p0 = reference_step(p0, d)
+        sums = []
         for i, env in enumerate(envs):
             signs = _reference_signs(env, n)
             lay = reference_step(lays[i], d)
             lay *= 1.0 + c * signs
-            assert float(lay.sum()) <= engine.DENSITY_SUM_LIMIT
+            sums.append(lay.sum())
             comps[i][n - 1] = c * float((p0.ravel() * signs.ravel()).sum())
             lays[i] = lay
+        if not max(sums) <= engine.DENSITY_SUM_LIMIT:
+            raise OverflowError(
+                f"density sum {max(sums)} exceeded {engine.DENSITY_SUM_LIMIT} at step {n}"
+            )
     return [(lay, float(np.sum(comp))) for lay, comp in zip(lays, comps)]
 
 
@@ -172,6 +178,62 @@ def test_stacked_pass_above_blas_threshold_and_across_row_blocks():
     ):
         assert layer.values.tobytes() == values.tobytes()
         assert layer.linear == linear
+
+
+def _assert_matches_reference(envs, c, N):
+    got = engine.evolve_replicas(envs, c, N)
+    for layer, (values, linear) in zip(got, _reference_replicas(envs, c, N), strict=True):
+        assert layer.values.tobytes() == values.tobytes()
+        assert layer.linear == linear
+
+
+@pytest.mark.parametrize("c,limit", [(0.0825, None), (0.6, None), (0.3, 1e120)])
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_windowed_pass_matches_reference_bit_for_bit(monkeypatch, c, limit, size):
+    # At d = 1, N = 1500 the tails of p0 and of every layer underflow to
+    # exactly 0.0 from about n = 1075 on, so the pass runs on a window
+    # narrower than the slice.  At the limit 1e120 the guard sums run from
+    # n = 1050 on, across the trimmed steps.
+    if limit is not None:
+        monkeypatch.setattr(engine, "DENSITY_SUM_LIMIT", limit)
+    _assert_matches_reference(_task(1, 1500, size, (7, 2 ** 64 - 1)), c, 1500)
+
+
+def test_windowed_pass_hashes_fewer_sites_than_the_cone(monkeypatch):
+    widths = []
+    inner = environment.SignHasher.sign_bits
+
+    def spy(self, n, lo=0, width=None, tmp=None):
+        widths.append(width)
+        return inner(self, n, lo, width, tmp)
+
+    monkeypatch.setattr(environment.SignHasher, "sign_bits", spy)
+    N = 1500
+    engine.evolve_replicas([_random_field(s, 1, N) for s in (7, 8)], 0.0825, N)
+    assert len(widths) == N
+    # 2.6% of the cone's sites are 0.0 in p0 and in both layers.
+    assert sum(widths) < 0.98 * environment.cone_site_count(1, N)
+
+
+@pytest.mark.parametrize("d,N", [(1, 60), (2, 24)])
+@pytest.mark.parametrize("c", [0.3, 0.9])
+@pytest.mark.parametrize("limit", [2.0, 10.0, 1e3, 1e6])
+def test_overflow_guard_matches_a_per_step_guard(monkeypatch, d, N, c, limit):
+    # The +1 row's sum is (1 + c)^n; the guard skips its sums only at steps
+    # where no row can come within a factor e of the limit, so it raises at
+    # the step the per-step guard does, with the same message.
+    monkeypatch.setattr(engine, "DENSITY_SUM_LIMIT", limit)
+    envs = [_random_field(5, d, N), environment.EnvironmentTable.constant(d, N, 1)]
+    envs.append(environment.EnvironmentTable.from_field(_random_field(6, d, N), N))
+    try:
+        want = _reference_replicas(envs, c, N)
+    except OverflowError as exc:
+        with pytest.raises(OverflowError) as got:
+            engine.evolve_replicas(envs, c, N)
+        assert str(got.value) == str(exc)
+    else:
+        for layer, (values, _) in zip(engine.evolve_replicas(envs, c, N), want, strict=True):
+            assert layer.values.tobytes() == values.tobytes()
 
 
 def test_overflow_guard_names_the_step(monkeypatch):

@@ -138,6 +138,28 @@ def test_constant_table():
         environment.EnvironmentTable.constant(1, 5, 0.5)
 
 
+def _good_slices(d, horizon):
+    return environment.EnvironmentTable.constant(d, horizon, 1).slices
+
+
+@pytest.mark.parametrize(
+    "d,horizon,slices,match",
+    [
+        (1, 3, _good_slices(1, 2), "2 slices for horizon 3"),
+        (1, 1, _good_slices(1, 2), "2 slices for horizon 1"),
+        (1, 2, (np.ones(2), np.ones(2)), "time 2 has shape"),
+        (2, 2, (np.ones((2, 2)), np.ones(3)), "time 2 has shape"),
+        (1, 1, (np.array([0.5, 1.0]),), "time 1 holds a value"),
+        (1, 2, (np.ones(2), np.array([1.0, -0.0, -1.0])), "time 2 holds a value"),
+        (1, 1, (np.array([1, -1]),), "time 1 holds a value"),
+        (1, 1, (np.array([np.nan, 1.0]),), "time 1 holds a value"),
+    ],
+)
+def test_table_refuses_bad_slices(d, horizon, slices, match):
+    with pytest.raises(ValueError, match=match):
+        environment.EnvironmentTable(d=d, horizon=horizon, slices=slices)
+
+
 def test_from_field_round_trip():
     field = environment.EnvironmentField(seed=3, d=2, horizon=5)
     tab = environment.EnvironmentTable.from_field(field, 5)
@@ -220,3 +242,34 @@ def test_hasher_writes_into_out_and_reuses_its_buffers():
         late(4)
     with pytest.raises(ValueError):
         environment.SignHasher(SEEDS, 3, 9)
+
+
+def _reference_sign_bits(seed, d, n):
+    """reference_slice_signs as sign bits: bit 63 set where the sign is -1."""
+    return reference_slice_signs(seed, d, n).view(_U) & _U(1 << 63)
+
+
+def test_hasher_sign_bits_match_reference_in_windows():
+    hasher = environment.SignHasher(SEEDS, 1, 300)
+    windows = {n: [(lo, w) for lo in range(n + 1) for w in range(1, n + 2 - lo)] for n in (1, 2, 17)}
+    windows[300] = [(0, 301), (0, 1), (300, 1), (100, 57), (1, 299)]
+    for n, spans in windows.items():
+        want = np.stack([_reference_sign_bits(seed, 1, n) for seed in SEEDS])
+        for lo, width in spans:
+            got = hasher.sign_bits(n, lo, width)
+            assert got.dtype == _U and got.tobytes() == want[:, lo : lo + width].tobytes()
+        tmp = np.empty((len(SEEDS), n + 1), dtype=_U)
+        assert hasher.sign_bits(n, tmp=tmp).tobytes() == want.tobytes()
+    for lo, width in ((-1, 3), (0, 0), (299, 3)):
+        with pytest.raises(ValueError, match="window"):
+            hasher.sign_bits(300, lo, width)
+
+
+def test_hasher_sign_bits_match_reference_in_whole_slices_d2():
+    hasher = environment.SignHasher(SEEDS, 2, 40)
+    for n in (1, 2, 17, 40):
+        want = np.stack([_reference_sign_bits(seed, 2, n) for seed in SEEDS])
+        assert hasher.sign_bits(n).tobytes() == want.tobytes()
+        assert hasher.sign_bits(n, 0, n + 1).tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="whole slices"):
+        hasher.sign_bits(17, 1, 17)

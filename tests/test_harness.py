@@ -138,6 +138,34 @@ def _run_working_memory(d, N, replicas) -> int:
     return peak - held
 
 
+def test_pool_gets_no_more_workers_than_tasks(monkeypatch):
+    # Under fork the pool starts all its workers at the first submit, so
+    # the run asks for no more than it has tasks.  The stand-in maps
+    # in-process and starts no process.
+    made = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+    # Two replicas at eight workers: two one-replica tasks, two workers.
+    assert _csv_bytes(_one_point(1, 64, 2, workers=8)) == _csv_bytes(_one_point(1, 64, 2))
+    assert made == [2]
+    # One replica: one task, run in-process.
+    assert _csv_bytes(_one_point(1, 64, 1, workers=8)) == _csv_bytes(_one_point(1, 64, 1))
+    assert made == [2]
+
+
 def test_run_memory_is_set_by_the_row_block(monkeypatch):
     # numpy reports its buffers to tracemalloc.  A run steps one row block
     # at a time, so its working memory beyond the results it returns is
@@ -296,3 +324,14 @@ def test_check_failures_cases():
         d=1, N=8, c=0.1, count=100, mean_Z=1.01, var_Z_exact=0.04
     )
     assert harness.check_failures(ok_rows, [norm_ok]) == []
+    # The scaled remainder's SE here is sqrt(4 / 100) = 0.2: 0.9 is within
+    # 5 SE of 0, 1.1 is not, and a zero exact variance skips the check.
+    def norm_rem(mean, sigma2_target):
+        return harness.SummaryStats(
+            d=1, N=8, c=0.1, count=100, mean_Z=1.0, var_Z_exact=0.04,
+            metrics={"remainder": {"mean": mean, "sigma2_target": sigma2_target}},
+        )
+    assert harness.check_failures(ok_rows, [norm_rem(0.9, 4.0), norm_rem(-0.9, 4.0)]) == []
+    assert harness.check_failures(ok_rows, [norm_rem(5.0, None)]) == []
+    bad = harness.check_failures(ok_rows, [norm_rem(-1.1, 4.0)])
+    assert len(bad) == 1 and "mean remainder" in bad[0]
