@@ -139,7 +139,7 @@ def _cmd_oracle(resolved: dict) -> int:
     rule = _rule(resolved)
     grid = rule.grid(resolved["N"])
     d = rule.d
-    moments.check_expansion_cap(max(resolved["N"]), d)
+    moments.check_n_cap(max(resolved["N"]), d, moments.EXPANSION_MAX_N)
     rows = []
     for N, c in grid:
         cal = moments.calibrate(N, c, d)
@@ -171,6 +171,7 @@ def _cmd_clt(resolved: dict) -> int:
     d = resolved["dim"]
     rule = _rule(resolved)
     grid = [(N, c, rule.a_of(N, c)) for N, c in rule.grid(resolved["N"])]
+    moments.check_n_cap(max(resolved["N"]), d, moments.RENEWAL_MAX_N)
     rows = []
     for N, c, a in grid:
         rem = moments.centered_moments(N, c, d).rem_var

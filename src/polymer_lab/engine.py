@@ -22,9 +22,10 @@ can change a bit of its results:
   the edge columns that are 0.0 in every row and in p0 are dropped.  Only
   the window is hashed, stepped and weighted.  In d = 2 the window is the
   whole slice: a square window trims nothing below N of about 2000.
-- Sign bits.  SignHasher.sign_bits gives h as bit 63 of a uint64 (set for
-  -1).  c * h is c with that bit set, so a weight 1 + c h is one bitwise or
-  and one add, and h * p0 is p0 with that bit flipped.
+- Sign bits.  environment.stack_sign_bits gives the stack's h as bit 63 of
+  a uint64 (set for -1), whatever kind of environment each row is.  c * h is
+  c with that bit set, so a weight 1 + c h is one bitwise or and one add,
+  and h * p0 is p0 with that bit flipped.
 - Guard.  A step keeps a row's sum and a weight is at most 1 + c, so a row
   sum at step n is at most (1 + c)^n, up to rounding.  The overflow guard
   sums only from the step where that bound comes within a factor e of
@@ -37,7 +38,7 @@ stack, numpy's pairwise sum of every contiguous row, the order
 walk.lattice_sum gives a lone row and whose order is fixed by the row
 length.  The final layers go back into zeroed full-length rows.  So every
 result is bit for bit what the whole-slice recursion gives.  A task holds
-four stack-sized arrays: two layer stacks, the hasher's uint64 buffer and
+four stack-sized arrays: two layer stacks, the sign bits' uint64 buffer and
 one scratch that takes the finalizer's temporaries, then the weights, then
 the products h * p0.  block_rows(d, N) is how many rows a caller should
 stack so that the per-step arrays stay within _BLOCK_BYTES;
@@ -59,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import walk
-from .environment import SIGN_BIT, EnvironmentField, SignHasher
+from .environment import stack_sign_bits
 
 # Abort threshold for the running layer sum (overflow guard).
 DENSITY_SUM_LIMIT = 1e300
@@ -141,8 +142,6 @@ def evolve_replicas(envs, c: float, N: int) -> list[DensityLayer]:
     rows of one stacked array.  The working arrays are flat buffers sized
     for time N, allocated once; step n reads a contiguous prefix of each as
     a stack of window-local slices.
-    EnvironmentFields are hashed by one SignHasher; any other environment
-    takes its sign bits from its own slice_signs.
     """
     if not envs:
         raise ValueError("need at least one environment")
@@ -153,11 +152,7 @@ def evolve_replicas(envs, c: float, N: int) -> list[DensityLayer]:
         _check_run_args(env, c, N)
     count = len(envs)
     size = walk.slice_size(d, N)
-    if all(isinstance(env, EnvironmentField) for env in envs):
-        hasher = SignHasher([env.seed for env in envs], d, N)
-    else:
-        hasher = None
-        bit_buf = np.empty(count * size, dtype=np.uint64)
+    sign_bits = stack_sign_bits(envs, N)
     free_bufs = (np.empty(size), np.empty(size))
     layer_bufs = (np.empty(count * size), np.empty(count * size))
     # The finalizer's scratch, then the weights, then the products h * p0.
@@ -178,13 +173,7 @@ def evolve_replicas(envs, c: float, N: int) -> list[DensityLayer]:
         p0 = walk.step_layer(p0, d, out=free_bufs[n % 2][:sites].reshape(shape[1:]))
         lays = walk.step_layer(lays, d, out=layer_bufs[n % 2][: count * sites].reshape(shape))
         weights = scratch[: count * sites].reshape(shape)
-        if hasher is not None:
-            bits = hasher.sign_bits(n, lo, width, tmp=weights.view(np.uint64))
-        else:
-            bits = bit_buf[: count * sites].reshape(shape)
-            for i, env in enumerate(envs):
-                signs = env.slice_signs(n)[..., lo : lo + width]
-                np.bitwise_and(signs.view(np.uint64), np.uint64(SIGN_BIT), out=bits[i])
+        bits = sign_bits(n, lo, width, tmp=weights.view(np.uint64))
         # c * h is c with the sign bit of h.
         np.bitwise_or(bits, c_bits, out=weights.view(np.uint64))
         weights += 1.0

@@ -11,12 +11,12 @@ counter-based generators of Salmon et al., "Parallel random numbers: as
 easy as 1, 2, 3", SC'11).
 SignHasher does that for the sampler's row blocks at one finalize per site;
 in d = 2 the first site word takes only 2n + 1 values per slice, so it is
-finalized once per field and broadcast through a Hankel view.  Its
-sign_bits keeps the sign as the bit it is (bit 63 of a uint64, set for
--1), and in d = 1 hashes any window of consecutive sites; its call turns
-the bits into +/-1.0.
-EnvironmentField.slice_signs is a one-field SignHasher call, and
-EnvironmentField.value the independent scalar route.
+finalized once per field and broadcast through a Hankel view.  Its one
+output, sign_bits, keeps the sign as bit 63 of a uint64 (set for -1), and
+in d = 1 hashes any window of consecutive sites.  stack_sign_bits is where
+the sampler takes a stack's sign bits from.  EnvironmentField.slice_signs
+ORs the bits of 1.0 into a one-field sign_bits, and EnvironmentField.value
+is the independent scalar route.
 
 Replica seed derivation is part of the on-disk contract: CSV outputs record
 per-replica seeds, and re-running any single replica from its recorded seed
@@ -40,7 +40,7 @@ _MIX_B = 0x94D049BB133111EB
 # Bit pattern of the float64 1.0.
 _ONE_BITS = 0x3FF0000000000000
 # The sign bit of a float64; SignHasher.sign_bits sets it where h = -1.
-SIGN_BIT = 1 << 63
+_SIGN_BIT = 1 << 63
 # Domain separation word for replica seed derivation.
 _REPLICA_DOMAIN = 0x7265706C69636173
 
@@ -66,17 +66,8 @@ def hash_words(seed: int, *words: int) -> int:
     return state
 
 
-def _finalize_vec(z: np.ndarray) -> np.ndarray:
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(_MIX_A)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(_MIX_B)
-    z ^= z >> np.uint64(31)
-    return z
-
-
 def _finalize_sign_bit(z: np.ndarray, tmp: np.ndarray) -> None:
-    """_finalize_vec in place, up to its last step.
+    """_finalize over a uint64 array in place, up to its last step.
 
     The last step, z ^= z >> 31, leaves bit 63 as it is, and the sign reads
     only bit 63, so it is skipped.  tmp is a buffer of z's shape.
@@ -87,6 +78,13 @@ def _finalize_sign_bit(z: np.ndarray, tmp: np.ndarray) -> None:
     np.right_shift(z, np.uint64(27), out=tmp)
     z ^= tmp
     z *= np.uint64(_MIX_B)
+
+
+def _finalize_vec(z: np.ndarray) -> np.ndarray:
+    """_finalize over a uint64 array in place: _finalize_sign_bit and its last step."""
+    _finalize_sign_bit(z, np.empty_like(z))
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def derive_replica_seed(master_seed: int, grid_index: int, replica_index: int) -> int:
@@ -117,14 +115,13 @@ class SignHasher:
     """Signs of one time slice of several fields, hashed in one vector pass.
 
     Built for the seeds of R fields in dimension d for the times first to
-    horizon (first defaults to 1); a call with time n returns the packed
-    slices of all R fields stacked on a leading axis, shape (R, n+1) or
-    (R, n+1, n+1), bit for bit the signs of EnvironmentField.value.
-    sign_bits returns the same signs as bit 63 of a uint64, the form the
-    sampler uses, and in d = 1 over a window of the slice only.  The
-    per-time states and the uint64 hash-word buffer, sized for the slices at
-    the horizon, are made once, so a pass over many times allocates nothing
-    per slice beyond its output when out (or tmp) is not given.
+    horizon (first defaults to 1); sign_bits(n) returns the packed slices of
+    all R fields at time n stacked on a leading axis, shape (R, n+1) or
+    (R, n+1, n+1), with each sign of EnvironmentField.value as bit 63 of a
+    uint64, and in d = 1 hashes a window of the slice only.  The per-time
+    states and the uint64 hash-word buffer, sized for the slices at the
+    horizon, are made once, so a pass over many times allocates nothing per
+    slice but the finalizer's scratch when tmp is not given.
 
     Each site costs one add and one finalize:
 
@@ -154,10 +151,6 @@ class SignHasher:
         self._words = np.arange(-horizon, horizon + 1, dtype=np.int64).view(np.uint64)
         self._z = np.empty(len(seed_states) * slice_size(d, horizon), dtype=np.uint64)
 
-    def _check_time(self, n: int) -> None:
-        if not self.first <= n <= self.horizon:
-            raise ValueError(f"time {n} outside the hashed times [{self.first}, {self.horizon}]")
-
     def sign_bits(
         self, n: int, lo: int = 0, width: int | None = None, tmp: np.ndarray | None = None
     ) -> np.ndarray:
@@ -170,7 +163,8 @@ class SignHasher:
         uint64 buffer, valid until the next call.  tmp, if given, is the
         finalizer's scratch space, a uint64 array of the result's shape.
         """
-        self._check_time(n)
+        if not self.first <= n <= self.horizon:
+            raise ValueError(f"time {n} outside the hashed times [{self.first}, {self.horizon}]")
         if width is None:
             width = n + 1 - lo
         if not (0 <= lo and 1 <= width and lo + width <= n + 1):
@@ -191,21 +185,8 @@ class SignHasher:
             toeplitz = sliding_window_view(second[::-1], n + 1)[::-1]
             np.add(hankel, toeplitz, out=z)
         _finalize_sign_bit(z, np.empty_like(z) if tmp is None else tmp)
-        z &= np.uint64(SIGN_BIT)
+        z &= np.uint64(_SIGN_BIT)
         return z
-
-    def __call__(self, n: int, out: np.ndarray | None = None) -> np.ndarray:
-        """Stacked +/-1.0 slices at time n, written into out if given.
-
-        out is the finalizer's scratch space until it receives the signs.
-        """
-        self._check_time(n)
-        if out is None:
-            out = np.empty(self._states.shape[1:] + slice_shape(self.d, n))
-        bits = out.view(np.uint64)
-        # A set sign bit on the bits of 1.0 makes -1.0.
-        np.bitwise_or(self.sign_bits(n, tmp=bits), np.uint64(_ONE_BITS), out=bits)
-        return out
 
 
 @dataclass(frozen=True)
@@ -231,11 +212,14 @@ class EnvironmentField:
         """Packed +/-1.0 float array over the parity slice at time n.
 
         Layout matches TransitionKernel layers (see walk module docstring).
-        This is the one-field SignHasher call, deriving time n's state alone.
+        A one-field SignHasher's sign_bits, deriving time n's state alone.
         """
         if not 1 <= n <= self.horizon:
             raise ValueError(f"time {n} outside environment horizon [1, {self.horizon}]")
-        return SignHasher([self.seed], self.d, n, first=n)(n)[0]
+        bits = SignHasher([self.seed], self.d, n, first=n).sign_bits(n)[0]
+        # A set sign bit on the bits of 1.0 makes -1.0.
+        bits |= np.uint64(_ONE_BITS)
+        return bits.view(np.float64)
 
 
 @dataclass(frozen=True)
@@ -312,6 +296,29 @@ class EnvironmentTable:
             slices.append(lay)
             offset += size
         return cls(d=d, horizon=horizon, slices=tuple(slices))
+
+
+def stack_sign_bits(envs, N: int):
+    """The sign-bit source of a stack of environments over the times 1..N.
+
+    Returns sign_bits(n, lo, width, tmp) with SignHasher.sign_bits's
+    contract; the bits never live in tmp, the caller's scratch.  A stack of
+    EnvironmentFields is one SignHasher; any other stack is read row by row
+    from each environment's slice_signs into a buffer of its own.
+    """
+    d = envs[0].d
+    if all(isinstance(env, EnvironmentField) for env in envs):
+        return SignHasher([env.seed for env in envs], d, N).sign_bits
+    buf = np.empty(len(envs) * slice_size(d, N), dtype=np.uint64)
+
+    def sign_bits(n: int, lo: int, width: int, tmp: np.ndarray | None = None) -> np.ndarray:
+        bits = buf[: len(envs) * width**d].reshape((len(envs),) + (width,) * d)
+        for row, env in zip(bits, envs):
+            signs = env.slice_signs(n)[..., lo : lo + width]
+            np.bitwise_and(signs.view(np.uint64), np.uint64(_SIGN_BIT), out=row)
+        return bits
+
+    return sign_bits
 
 
 def enumerate_environments(d: int, horizon: int):

@@ -38,7 +38,7 @@ CSV_COLUMNS = (
     "remainder",
 )
 # Largest N the sampler runs (a d = 2 layer at N = 4096 is 134 MB); the
-# exact-moment renewal has no cap.
+# exact-moment renewal's own cap is far higher.
 SAMPLER_MAX_N = {1: 4096, 2: 4096}
 
 

@@ -411,6 +411,10 @@ def _no_exact_moments(monkeypatch) -> None:
         (["oracle", "--dim", "1", "--N", "64", "--N", "64", "--eps", "0.1"], "--N 64 is given twice"),
         (["clt", "--dim", "2", "--N", "64", "--N", "8", "--N", "64", "--eps", "0.1"],
          "--N 64 is given twice"),
+        (["clt", "--dim", "1", "--N", "10000000000", "--eps", "0.05"],
+         f"exact-moment cap N <= {1 << 20} for d = 1; choose --N <= {1 << 20}"),
+        (["clt", "--dim", "2", "--N", "64", "--N", str((1 << 20) + 1), "--eps", "0.25"],
+         f"exact-moment cap N <= {1 << 20} for d = 2; choose --N <= {1 << 20}"),
     ],
 )
 def test_exact_paths_refuse_a_bad_grid_before_any_row(argv, needle, capsys, monkeypatch):

@@ -212,34 +212,34 @@ def test_hasher_matches_reference_bit_for_bit(extra, d):
     seeds = list(SEEDS) + extra
     hasher = environment.SignHasher(seeds, d, horizon)
     for n in (1, 2, 3, 17, horizon):
-        got = hasher(n)
+        got = hasher.sign_bits(n)
         assert got.shape == (len(seeds),) + (n + 1,) * d
         for row, seed in zip(got, seeds):
             want = reference_slice_signs(seed, d, n)
-            assert row.dtype == want.dtype and row.tobytes() == want.tobytes()
+            assert row.dtype == _U and row.tobytes() == _reference_sign_bits(seed, d, n).tobytes()
             fld = environment.EnvironmentField(seed=seed, d=d, horizon=horizon)
-            assert fld.slice_signs(n).tobytes() == want.tobytes()
+            signs = fld.slice_signs(n)
+            assert signs.dtype == want.dtype and signs.tobytes() == want.tobytes()
             for idx, x in zip(*_corners(d, n)):
-                assert row[idx] == fld.value(n, x)
+                assert 1 - 2 * int(row[idx] >> _U(63)) == signs[idx] == fld.value(n, x)
 
 
-def test_hasher_writes_into_out_and_reuses_its_buffers():
+def test_hasher_reuses_its_buffers():
     hasher = environment.SignHasher(SEEDS, 2, 9)
-    out = np.full((3, 6, 6), 7.0)
-    assert hasher(5, out=out) is out
-    first = out.copy()
-    hasher(9)  # fills the whole buffer
-    assert np.array_equal(hasher(5), first)
+    bits = hasher.sign_bits(5, tmp=np.full((3, 6, 6), 7, dtype=_U))
+    first = bits.copy()
+    assert np.shares_memory(hasher.sign_bits(9), bits)  # fills the whole buffer
+    assert np.array_equal(hasher.sign_bits(5), first)
     for row, seed in zip(first, SEEDS):
-        assert np.array_equal(row, reference_slice_signs(seed, 2, 5))
+        assert np.array_equal(row, _reference_sign_bits(seed, 2, 5))
     with pytest.raises(ValueError):
-        hasher(10)
+        hasher.sign_bits(10)
     with pytest.raises(ValueError):
-        hasher(0)
+        hasher.sign_bits(0)
     late = environment.SignHasher(SEEDS, 2, 9, first=5)
-    assert late(5).tobytes() == first.tobytes()
+    assert late.sign_bits(5).tobytes() == first.tobytes()
     with pytest.raises(ValueError):
-        late(4)
+        late.sign_bits(4)
     with pytest.raises(ValueError):
         environment.SignHasher(SEEDS, 3, 9)
 
@@ -273,3 +273,23 @@ def test_hasher_sign_bits_match_reference_in_whole_slices_d2():
         assert hasher.sign_bits(n, 0, n + 1).tobytes() == want.tobytes()
     with pytest.raises(ValueError, match="whole slices"):
         hasher.sign_bits(17, 1, 17)
+
+
+@pytest.mark.parametrize("d,horizon", [(1, 40), (2, 12)])
+def test_stack_sign_bits_of_fields_tables_and_mixed_stacks(d, horizon):
+    fields = [environment.EnvironmentField(seed=seed, d=d, horizon=horizon) for seed in SEEDS]
+    tables = [environment.EnvironmentTable.from_field(fld, horizon) for fld in fields]
+    stacks = (fields, tables, [fields[0], tables[1], fields[2]])
+    sources = [environment.stack_sign_bits(stack, horizon) for stack in stacks]
+    assert isinstance(sources[0].__self__, environment.SignHasher)
+    for n in (1, 2, 7, horizon):
+        want = np.stack([_reference_sign_bits(seed, d, n) for seed in SEEDS])
+        spans = [(0, n + 1)]
+        if d == 1:
+            spans += [(0, 1), (n, 1), (1, max(1, n - 1)), (n // 2, n + 1 - n // 2)]
+        for lo, width in spans:
+            for source in sources:
+                tmp = np.zeros((len(SEEDS),) + (width,) * d, dtype=_U)
+                got = source(n, lo, width, tmp=tmp)
+                tmp[...] = _U(2 ** 64 - 1)  # the engine writes its weights there
+                assert got.dtype == _U and got.tobytes() == want[..., lo : lo + width].tobytes()

@@ -73,8 +73,10 @@ def test_renewal_equals_pairwalk(d, n, c):
     )
 
 
-def test_renewal_beyond_expansion_cap():
-    # The renewal has no cap; at the cap it agrees with the expansion.
+def test_renewal_beyond_expansion_cap(monkeypatch):
+    # The renewal runs past the expansion's cap, up to its own; at the
+    # expansion's cap the two agree.  Past its own cap it refuses before it
+    # builds anything of length N.
     for d in (1, 2):
         cap = moments.EXPANSION_MAX_N[d]
         c = 0.1
@@ -84,6 +86,16 @@ def test_renewal_beyond_expansion_cap():
     assert moments.centered_moments(2 * moments.EXPANSION_MAX_N[2], 0.0, 2).ez2 == 1.0
     with pytest.raises(ValueError, match="--N"):
         moments.ez2_expansion(moments.EXPANSION_MAX_N[2] + 1, 0.1, 2)
+
+    def no_returns(*args):
+        raise AssertionError("the renewal started before its cap was checked")
+
+    monkeypatch.setattr(walk, "central_return_sequence", no_returns)
+    for d in (1, 2):
+        cap = moments.RENEWAL_MAX_N[d]
+        for N in (cap + 1, 10 ** 10):
+            with pytest.raises(ValueError, match=f"choose --N <= {cap}"):
+                moments.centered_moments(N, 0.1, d)
 
 
 def test_enumeration_cap():
@@ -138,6 +150,12 @@ def test_convolve_head_matches_full_convolution(monkeypatch, m, len_b):
     # Sums of nonnegative terms in another order: a few ulps, relative.
     np.testing.assert_allclose(got, want, rtol=8 * np.finfo(float).eps, atol=0.0)
     assert shapes and all(min(shape) <= _B for shape in shapes)
+    # Bit for bit the blocks' own np.convolve, wherever its inputs sit.
+    blocks = np.zeros(m)
+    for k in range(0, min(len(a), m), _B):
+        head = real(a[k : k + _B], b[: m - k])[: m - k]
+        blocks[k : k + len(head)] += head
+    assert got.tobytes() == blocks.tobytes()
 
 
 def test_expansion_head_convolution_accuracy_at_strong_disorder(monkeypatch):
