@@ -168,8 +168,8 @@ def _cmd_oracle(resolved: dict) -> int:
 
 def _cmd_clt(resolved: dict) -> int:
     _require(resolved, "dim", "N", "eps")
-    d = resolved["dim"]
     rule = _rule(resolved)
+    d = rule.d
     grid = [(N, c, rule.a_of(N, c)) for N, c in rule.grid(resolved["N"])]
     moments.check_n_cap(max(resolved["N"]), d, moments.RENEWAL_MAX_N)
     rows = []
@@ -193,11 +193,11 @@ def _cmd_clt(resolved: dict) -> int:
     return 0
 
 
-# Option -> ExperimentConfig field.  An option not given keeps the field's
-# default; an explicit 0 is validated.
+# Option -> ExperimentConfig field (--dim, --eps and --c make its rule).  An
+# option not given keeps the field's default; an explicit 0 is validated.
 _CONFIG_FIELDS = {
-    "dim": "d", "N": "n_grid", "eps": "eps", "c": "c_override", "replicas": "replicas",
-    "seed": "master_seed", "eps_prob": "eps_prob", "threads": "workers",
+    "N": "n_grid", "replicas": "replicas", "seed": "master_seed", "eps_prob": "eps_prob",
+    "threads": "workers",
 }
 
 
@@ -205,7 +205,7 @@ def _experiment_config(resolved: dict) -> harness.ExperimentConfig:
     _require(resolved, "dim", "N")
     fields = {f: resolved[k] for k, f in _CONFIG_FIELDS.items() if resolved.get(k) is not None}
     fields["n_grid"] = tuple(sorted(fields["n_grid"]))
-    return harness.ExperimentConfig(**fields)
+    return harness.ExperimentConfig(rule=_rule(resolved), **fields)
 
 
 def _run_and_report(resolved: dict) -> tuple[list, list, list]:

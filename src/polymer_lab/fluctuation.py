@@ -27,7 +27,6 @@ for bit at any BLAS thread count.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,22 +85,13 @@ class ScalingRule:
             return float(N) ** -(0.25 + self.eps)
         return math.log(N) ** -(0.5 + self.eps)
 
-    def a_of(self, N: int, c: float | None = None) -> float:
-        """Normalizer for Z - 1 at the rule's c, or at an explicit c."""
-        if c is None:
-            c = self.c_of(N)
+    def a_of(self, N: int, c: float) -> float:
+        """Normalizer for Z - 1 at N and c: s^(-1/2), s = walk.disorder_scale."""
         if N < self.d:  # the collision scale is 0 at N = 1 in d = 2 (log N)
             raise ValueError(f"a_N needs N >= {self.d} for d = {self.d}; choose --N >= {self.d}")
         if not c > 0.0:
             raise ValueError("normalizer a_N undefined at c = 0; choose --c > 0")
-        s = c * c * walk.collision_scale(self.d, N)
-        # Below the smallest normal float, 1/s overflows or s is 0.
-        if not s >= sys.float_info.min:
-            raise ValueError(
-                f"c = {c!r} is too small: c^2 times the collision scale at N = {N} "
-                f"underflows float64; choose a larger --c"
-            )
-        return s ** -0.5
+        return walk.disorder_scale(self.d, N, c) ** -0.5
 
 
 def scaling(d: int, eps: float) -> ScalingRule:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import engine, fluctuation, moments, stats, walk
+from . import engine, fluctuation, moments, stats
 from .environment import EnvironmentField, derive_replica_seed
 
 CSV_COLUMNS = (
@@ -44,30 +44,27 @@ SAMPLER_MAX_N = {1: 4096, 2: 4096}
 
 @dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
-    """One simulation request: a grid of horizons at one disorder strength.
-    The defaults are the CLI's for an option not given."""
+    """One simulation request: a grid of horizons under one scaling rule.
+    The defaults are the CLI's for an option not given.  points holds each
+    grid point resolved once, (N, c_N, a_N) with a_N None at c_N = 0."""
 
-    d: int
+    rule: fluctuation.ScalingRule
     n_grid: tuple[int, ...]
-    eps: float | None = None
-    c_override: float | None = None
     replicas: int = 100
     master_seed: int = 0
     eps_prob: float = 0.1
     workers: int = 1
+    points: tuple[tuple[int, float, float | None], ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        walk.check_dim(self.d)
         grid = self.n_grid
         if not grid or list(grid) != sorted(grid):
             raise ValueError(f"n_grid must be nonempty and sorted, got {grid}")
-        # The rule refuses a bad eps or c, and a bad grid point naming --N.
-        # a_N is validated wherever c > 0 (the normality report needs it),
-        # which refuses N = 1 for d = 2.
-        rule = self.rule()
-        for n, c in rule.grid(grid):
-            if c > 0.0:
-                rule.a_of(n, c)
+        # rule.grid refuses a bad --N.  a_N, which the normality report reads
+        # wherever c > 0, refuses N = 1 in d = 2.
+        rule = self.rule
+        points = tuple((N, c, rule.a_of(N, c) if c > 0.0 else None) for N, c in rule.grid(grid))
+        object.__setattr__(self, "points", points)
         if self.replicas < 1:
             raise ValueError(f"replicas must be >= 1 (--replicas), got {self.replicas}")
         if self.workers < 1:
@@ -75,15 +72,7 @@ class ExperimentConfig:
         if not 0.0 < self.eps_prob < 1.0:
             raise ValueError(f"eps_prob must lie in (0, 1) (--eps-prob), got {self.eps_prob}")
         # Refused before any replica is sampled.
-        cap = SAMPLER_MAX_N[self.d]
-        if self.n_grid[-1] > cap:
-            raise ValueError(
-                f"N = {self.n_grid[-1]} is above the sampler's cap N <= {cap} "
-                f"for d = {self.d}; choose --N <= {cap}"
-            )
-
-    def rule(self) -> fluctuation.ScalingRule:
-        return fluctuation.ScalingRule(self.d, self.eps, self.c_override)
+        moments.check_n_cap(grid[-1], rule.d, SAMPLER_MAX_N, "sampler's")
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,12 +154,12 @@ def run_replicas(config: ExperimentConfig) -> list[GridSample]:
     bit-identical for any worker count: every replica depends only on its
     derived seed and the blocks are joined in submission order.
     """
-    d, R, rule = config.d, config.replicas, config.rule()
+    d, R = config.rule.d, config.replicas
     # Each point's GridSample fields but its columns.
     heads = [
-        (d, N, c, rule.a_of(N, c) if c > 0.0 else None, moments.centered_moments(N, c, d),
+        (d, N, c, a, moments.centered_moments(N, c, d),
          tuple(derive_replica_seed(config.master_seed, g, r) for r in range(R)))
-        for g, (N, c) in enumerate(rule.grid(config.n_grid))
+        for g, (N, c, a) in enumerate(config.points)
     ]
     tasks = []
     for _, N, c, _, _, seeds in heads:

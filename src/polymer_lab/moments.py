@@ -67,13 +67,13 @@ _ORDER_TAIL_REL = 1e-17
 _HEAD_BLOCK = 512
 
 
-def check_n_cap(N: int, d: int, caps: dict) -> None:
-    """Refuse an N above caps[d], an exact-moment cap, naming the --N flag."""
+def check_n_cap(N: int, d: int, caps: dict, what: str = "exact-moment") -> None:
+    """Refuse an N above caps[d], the `what` cap, naming the --N flag."""
     walk.check_dim(d)
     cap = caps[d]
     if N > cap:
         raise ValueError(
-            f"N = {N} is above the exact-moment cap N <= {cap} "
+            f"N = {N} is above the {what} cap N <= {cap} "
             f"for d = {d}; choose --N <= {cap}"
         )
 
@@ -427,9 +427,10 @@ class Calibration:
 
 def calibrate(N: int, c: float, d: int) -> Calibration:
     """The exact-moment record, one collision-expansion pass and the domination constants."""
+    _check_args(N, c, d)
+    s = walk.disorder_scale(d, N, c)  # refuses an underflowing s before either pass
     ez, ek = collision_expansions(N, c, d)
     exact = centered_moments(N, c, d)
-    s = c * c * walk.collision_scale(d, N)
     if s == 0.0:
         return Calibration(exact, ez, ek, s, 0.0, 0.0, 0.0, 0.0)
     n2 = float(N) * N

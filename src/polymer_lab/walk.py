@@ -15,6 +15,7 @@ This packing has no parity holes and keeps the nearest-neighbour convolution a
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -275,6 +276,22 @@ def central_return_sequence(d: int, k_max: int) -> np.ndarray:
 def collision_scale(d: int, N: int) -> float:
     """sqrt(N) (d = 1) or log N (d = 2); c^2 times it is the collision scale."""
     return math.sqrt(N) if d == 1 else math.log(N)
+
+
+def disorder_scale(d: int, N: int, c: float) -> float:
+    """s = c^2 collision_scale(d, N), the scale the scaling rules drive to 0.
+
+    Refuses a c > 0 whose s falls below the smallest normal float, where 1/s
+    overflows or s is 0; so s = 0 only at c = 0 or at d = 2, N = 1 (log 1).
+    """
+    scale = collision_scale(d, N)
+    s = c * c * scale
+    if c > 0.0 and scale > 0.0 and not s >= sys.float_info.min:
+        raise ValueError(
+            f"c = {c!r} is too small: c^2 times the collision scale at N = {N} "
+            f"underflows float64; choose a larger --c"
+        )
+    return s
 
 
 def collision_layer_moments(d: int, n_max: int) -> CollisionMoments:

@@ -40,8 +40,8 @@ WORKERS = min(4, len(os.sched_getaffinity(0)))
 @pytest.fixture(scope="module")
 def conc_d1():
     config = harness.ExperimentConfig(
-        d=1, eps=0.05, n_grid=(256, 1024, 4096), replicas=400, master_seed=20260814,
-        workers=WORKERS,
+        rule=fluctuation.ScalingRule(1, 0.05), n_grid=(256, 1024, 4096), replicas=400,
+        master_seed=20260814, workers=WORKERS,
     )
     return harness.concentration_report(harness.run_replicas(config), 0.1)
 
@@ -49,8 +49,8 @@ def conc_d1():
 @pytest.fixture(scope="module")
 def conc_d2():
     config = harness.ExperimentConfig(
-        d=2, eps=0.25, n_grid=(64, 128, 256), replicas=400, master_seed=20260814,
-        workers=WORKERS,
+        rule=fluctuation.ScalingRule(2, 0.25), n_grid=(64, 128, 256), replicas=400,
+        master_seed=20260814, workers=WORKERS,
     )
     return harness.concentration_report(harness.run_replicas(config), 0.1)
 
@@ -58,7 +58,8 @@ def conc_d2():
 @pytest.fixture(scope="module")
 def norm_d2():
     config = harness.ExperimentConfig(
-        d=2, eps=0.25, n_grid=(64, 128, 256), replicas=2000, master_seed=97, workers=WORKERS
+        rule=fluctuation.ScalingRule(2, 0.25), n_grid=(64, 128, 256), replicas=2000,
+        master_seed=97, workers=WORKERS,
     )
     return harness.normality_report(harness.run_replicas(config))
 

@@ -232,6 +232,37 @@ def test_underflowing_c_is_refused(argv, capsys, monkeypatch):
     assert "--c" in err and "underflows" in err
 
 
+@pytest.mark.parametrize("dim,n,c", [("2", "4096", "1e-160"), ("1", "16", "1e-300")])
+@pytest.mark.parametrize("command", ["oracle", "clt", "simulate", "concentration"])
+def test_underflowing_collision_scale_is_refused_before_any_row(
+    command, dim, n, c, capsys, monkeypatch
+):
+    # c > 0 but c^2 times the collision scale underflows float64: a_N has no
+    # value, and oracle's domination constants would read s as 0.
+    _no_exact_moments(monkeypatch)
+    sampling = ["--replicas", "1"] if command in ("simulate", "concentration") else []
+    argv = [command, "--dim", dim, "--N", n, "--c", c, "--eps", "0.25", *sampling]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert (
+        f"c = {float(c)!r} is too small: c^2 times the collision scale at N = {n} "
+        "underflows float64; choose a larger --c"
+    ) in err
+
+
+@pytest.mark.parametrize(
+    "argv", [["--dim", "2", "--N", "1", "--c", "0.5"], ["--dim", "1", "--N", "4", "--c", "0"]]
+)
+def test_oracle_prints_zero_scale_rows(argv, capsys):
+    # s = 0 at d = 2, N = 1 (log 1) and at c = 0: nothing to dominate.
+    code, out, err = run_cli(["oracle", *argv], capsys)
+    assert code == 0, err
+    (row,) = json.loads(out)["rows"]
+    assert row["s"] == 0.0
+    assert [row[k] for k in ("calibrated_A", "a_order_z2", "a_total_k2", "a_order_k2")] == [0.0] * 4
+
+
 def test_zero_disorder_runs_at_n1_in_d2(capsys):
     code, out, err = run_cli(
         ["simulate", "--dim", "2", "--N", "1", "--N", "4", "--c", "0", "--replicas", "2"], capsys
@@ -306,7 +337,9 @@ def test_cli_paths_do_not_need_the_pairwalk_dp(capsys, monkeypatch):
     moments.centered_moments(64, 0.3, 2)
     moments.centered_moments(16, 0.3, 1)
     fluctuation.remainder_variance_exact(64, 0.3, 2)
-    config = harness.ExperimentConfig(d=2, eps=0.25, n_grid=(8, 16), replicas=3, master_seed=1)
+    config = harness.ExperimentConfig(
+        rule=fluctuation.ScalingRule(2, 0.25), n_grid=(8, 16), replicas=3, master_seed=1
+    )
     rows = harness.normality_report(harness.run_replicas(config))
     assert all(r.var_Z_exact > 0.0 for r in rows)
     code, _, err = run_cli(["oracle", "--dim", "2", "--N", "64", "--N", "256", "--eps", "0.25"], capsys)

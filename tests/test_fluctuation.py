@@ -11,7 +11,7 @@ from polymer_lab import engine, environment, fluctuation, moments, walk
 def test_scaling_rule_d1():
     rule = fluctuation.scaling(1, 0.25)
     assert rule.c_of(16) == pytest.approx(0.25, rel=1e-15)
-    assert rule.a_of(16) == pytest.approx(2.0, rel=1e-15)
+    assert rule.a_of(16, rule.c_of(16)) == pytest.approx(2.0, rel=1e-15)
     # a^2 c^2 = N^(-1/2) independent of eps
     for eps in (0.05, 0.25, 0.4):
         r = fluctuation.scaling(1, eps)

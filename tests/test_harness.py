@@ -9,10 +9,10 @@ from polymer_lab import engine, environment, fluctuation, harness, moments, walk
 
 
 def test_config_validation():
-    good = dict(d=1, eps=0.25, n_grid=(8, 16), replicas=4, master_seed=0)
+    good = dict(rule=fluctuation.ScalingRule(1, 0.25), n_grid=(8, 16), replicas=4, master_seed=0)
     harness.ExperimentConfig(**good)
     with pytest.raises(ValueError):
-        harness.ExperimentConfig(**{**good, "d": 3})
+        harness.ExperimentConfig(**{**good, "rule": fluctuation.ScalingRule(3, 0.25)})
     with pytest.raises(ValueError):
         harness.ExperimentConfig(**{**good, "n_grid": (16, 8)})
     with pytest.raises(ValueError):
@@ -24,25 +24,28 @@ def test_config_validation():
     with pytest.raises(ValueError):
         harness.ExperimentConfig(**{**good, "eps_prob": 0.0})
     with pytest.raises(ValueError):
-        harness.ExperimentConfig(**{**good, "c_override": 1.0})
+        harness.ExperimentConfig(**{**good, "rule": fluctuation.ScalingRule(1, 0.25, 1.0)})
     with pytest.raises(ValueError):
-        harness.ExperimentConfig(**{**good, "eps": 0.0})
+        harness.ExperimentConfig(**{**good, "rule": fluctuation.ScalingRule(1, 0.0)})
     with pytest.raises(ValueError, match="need --eps or --c"):
-        harness.ExperimentConfig(**{**good, "eps": None})
+        harness.ExperimentConfig(**{**good, "rule": fluctuation.ScalingRule(1, None)})
     with pytest.raises(ValueError):  # d=2 scaling needs N >= 2
-        harness.ExperimentConfig(d=2, eps=0.25, n_grid=(1, 4), replicas=2, master_seed=0)
+        harness.ExperimentConfig(
+            rule=fluctuation.ScalingRule(2, 0.25), n_grid=(1, 4), replicas=2, master_seed=0
+        )
     # a_N is needed wherever c > 0, also under a c override; c = 0 needs none.
     with pytest.raises(ValueError, match="--N >= 2"):
         harness.ExperimentConfig(
-            d=2, eps=0.25, n_grid=(1, 4), replicas=2, master_seed=0, c_override=0.3
+            rule=fluctuation.ScalingRule(2, 0.25, 0.3), n_grid=(1, 4), replicas=2, master_seed=0
         )
     harness.ExperimentConfig(
-        d=2, eps=0.25, n_grid=(1, 4), replicas=2, master_seed=0, c_override=0.0
+        rule=fluctuation.ScalingRule(2, 0.25, 0.0), n_grid=(1, 4), replicas=2, master_seed=0
     )
     for d, cap in harness.SAMPLER_MAX_N.items():
-        harness.ExperimentConfig(d=d, eps=0.25, n_grid=(cap,), replicas=1, master_seed=0)
+        rule = fluctuation.ScalingRule(d, 0.25)
+        harness.ExperimentConfig(rule=rule, n_grid=(cap,), replicas=1, master_seed=0)
         with pytest.raises(ValueError, match=f"sampler's cap N <= {cap}"):
-            harness.ExperimentConfig(d=d, eps=0.25, n_grid=(8, cap + 1), replicas=1, master_seed=0)
+            harness.ExperimentConfig(rule=rule, n_grid=(8, cap + 1), replicas=1, master_seed=0)
 
 
 def test_fused_replica_matches_composition():
@@ -71,7 +74,7 @@ def _same_points(one, other) -> bool:
 
 
 def test_run_replicas_deterministic_across_workers():
-    base = dict(d=1, eps=0.25, n_grid=(8, 16), replicas=10, master_seed=42)
+    base = dict(rule=fluctuation.ScalingRule(1, 0.25), n_grid=(8, 16), replicas=10, master_seed=42)
     r1 = harness.run_replicas(harness.ExperimentConfig(**base, workers=1))
     r3 = harness.run_replicas(harness.ExperimentConfig(**base, workers=3))
     assert _same_points(r1, r3)
@@ -90,7 +93,7 @@ def _csv_bytes(config) -> str:
 def test_batch_split_keeps_bytes():
     # A row block here holds more than 10 replicas, so the tasks are the
     # workers' shares: 5+5 at 2 workers and 4+4+2 at 3.
-    base = dict(d=1, eps=0.25, n_grid=(8, 16), replicas=10, master_seed=42)
+    base = dict(rule=fluctuation.ScalingRule(1, 0.25), n_grid=(8, 16), replicas=10, master_seed=42)
     unsplit = _csv_bytes(harness.ExperimentConfig(**base))
     for workers in (2, 3):
         assert _csv_bytes(harness.ExperimentConfig(**base, workers=workers)) == unsplit
@@ -98,7 +101,8 @@ def test_batch_split_keeps_bytes():
 
 def _one_point(d, N, replicas, workers=1) -> harness.ExperimentConfig:
     return harness.ExperimentConfig(
-        d=d, n_grid=(N,), c_override=0.3, replicas=replicas, master_seed=3, workers=workers
+        rule=fluctuation.ScalingRule(d, None, 0.3), n_grid=(N,), replicas=replicas, master_seed=3,
+        workers=workers,
     )
 
 
@@ -197,7 +201,9 @@ def test_tasks_across_the_row_block_cap_keep_bytes(monkeypatch):
 
 
 def test_run_replicas_layout_and_seeds():
-    config = harness.ExperimentConfig(d=1, eps=0.25, n_grid=(4, 8), replicas=6, master_seed=9)
+    config = harness.ExperimentConfig(
+        rule=fluctuation.ScalingRule(1, 0.25), n_grid=(4, 8), replicas=6, master_seed=9
+    )
     pts = harness.run_replicas(config)
     assert len(pts) == 2
     assert [pt.N for pt in pts] == [4, 8]
@@ -213,9 +219,26 @@ def test_run_replicas_layout_and_seeds():
             assert remainder == z - 1.0 - linear
 
 
+@pytest.mark.parametrize(
+    "rule,n_grid",
+    [(fluctuation.ScalingRule(2, 0.25), (4, 8)), (fluctuation.ScalingRule(2, None, 0.0), (1, 4))],
+)
+def test_run_replicas_reads_each_point_resolved_once(rule, n_grid, monkeypatch):
+    # The config resolves (N, c_N, a_N) once; run_replicas asks the rule again for none of them.
+    config = harness.ExperimentConfig(rule=rule, n_grid=n_grid, replicas=3, master_seed=5)
+
+    def again(*args):
+        raise AssertionError("a grid point was resolved a second time")
+
+    for name in ("grid", "c_of", "a_of"):
+        monkeypatch.setattr(fluctuation.ScalingRule, name, again)
+    pts = harness.run_replicas(config)
+    assert [(pt.N, pt.c, pt.a) for pt in pts] == list(config.points)
+
+
 def test_zero_disorder_replicas():
     config = harness.ExperimentConfig(
-        d=2, eps=0.25, n_grid=(6,), replicas=5, master_seed=1, c_override=0.0
+        rule=fluctuation.ScalingRule(2, 0.25, 0.0), n_grid=(6,), replicas=5, master_seed=1
     )
     pts = harness.run_replicas(config)
     assert pts[0].a is None
@@ -230,7 +253,9 @@ def test_zero_disorder_replicas():
 
 
 def test_single_replica_exceedance_is_zero_or_one():
-    config = harness.ExperimentConfig(d=1, eps=0.25, n_grid=(8,), replicas=1, master_seed=3)
+    config = harness.ExperimentConfig(
+        rule=fluctuation.ScalingRule(1, 0.25), n_grid=(8,), replicas=1, master_seed=3
+    )
     conc = harness.concentration_report(harness.run_replicas(config), 0.1)
     assert conc[0].exceedance in (0.0, 1.0)
 
@@ -249,7 +274,9 @@ def test_chebyshev_bound_cap_and_formula():
 
 
 def test_concentration_groups_and_se():
-    config = harness.ExperimentConfig(d=1, eps=0.25, n_grid=(8, 16), replicas=25, master_seed=2)
+    config = harness.ExperimentConfig(
+        rule=fluctuation.ScalingRule(1, 0.25), n_grid=(8, 16), replicas=25, master_seed=2
+    )
     rows = harness.concentration_report(harness.run_replicas(config), 0.2)
     assert [row.N for row in rows] == [8, 16]
     for row in rows:
@@ -261,10 +288,12 @@ def test_concentration_groups_and_se():
 
 
 def test_normality_report_targets():
-    config = harness.ExperimentConfig(d=1, eps=0.25, n_grid=(16,), replicas=200, master_seed=8)
+    config = harness.ExperimentConfig(
+        rule=fluctuation.ScalingRule(1, 0.25), n_grid=(16,), replicas=200, master_seed=8
+    )
     row = harness.normality_report(harness.run_replicas(config))[0]
-    c = config.rule().c_of(16)
-    a = config.rule().a_of(16, c)
+    c = config.rule.c_of(16)
+    a = config.rule.a_of(16, c)
     assert row.a == pytest.approx(a, rel=1e-14)
     m = row.metrics
     assert set(m) == {"centered", "linear", "remainder"}
@@ -282,7 +311,9 @@ def test_normality_report_targets():
 
 
 def test_write_csv_round_trip():
-    config = harness.ExperimentConfig(d=2, eps=0.25, n_grid=(5,), replicas=3, master_seed=4)
+    config = harness.ExperimentConfig(
+        rule=fluctuation.ScalingRule(2, 0.25), n_grid=(5,), replicas=3, master_seed=4
+    )
     (pt,) = harness.run_replicas(config)
     buf = io.StringIO()
     harness.write_csv([pt], buf)
